@@ -4,7 +4,7 @@ Renders the machine's pipelines against the clock for one scheduled
 block: which instruction issues each cycle, which pipelines are accepting
 work, holding results in flight, or refusing enqueues.  The pictures make
 the latency/enqueue distinction of section 2.1 tangible and are used by
-the examples and the ``repro-compile --show timeline`` output.
+the examples and the ``repro compile --show timeline`` output.
 
 Legend per pipeline column::
 

@@ -1,14 +1,14 @@
-"""Command-line compiler: ``repro-compile``.
+"""Command-line compiler: ``repro compile``.
 
 Drives the whole Figure-2 back end from a shell::
 
-    repro-compile program.src                         # paper machine, optimal
-    repro-compile -e "b = 15; a = b * a;" --show all
-    repro-compile program.src --machine deep-memory --scheduler gross
-    repro-compile program.src --machine @mymachine.txt --registers 8
-    repro-compile program.src --discipline explicit-interlock
-    repro-compile program.src --verify "a=3,b=0"
-    repro-compile -e "for i in 0..8 { p = a * b; a = a + b; }" --show all
+    repro compile program.src                         # paper machine, optimal
+    repro compile -e "b = 15; a = b * a;" --show all
+    repro compile program.src --machine deep-memory --scheduler gross
+    repro compile program.src --machine @mymachine.txt --registers 8
+    repro compile program.src --discipline explicit-interlock
+    repro compile program.src --verify "a=3,b=0"
+    repro compile -e "for i in 0..8 { p = a * b; a = a + b; }" --show all
 
 A source whose single statement is a ``for`` loop is compiled by the
 modulo software pipeliner (``repro.sched.pipelining``): the output is a

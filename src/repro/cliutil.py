@@ -1,7 +1,7 @@
 """Shared argparse machinery for the ``repro`` command family.
 
-Every subcommand (``repro compile|experiments|verify|bench|serve`` and
-the legacy per-tool console scripts) historically declared its own
+Every subcommand (``repro compile|experiments|verify|bench|serve``)
+historically declared its own
 ``--engine``/``--seed``/``--stats-json``/budget flags, and their names,
 defaults and help strings drifted.  This module is the single source of
 truth: :func:`common_flags` builds an ``add_help=False`` parent parser
@@ -9,7 +9,7 @@ carrying any subset of the canonical flags, which each tool passes to
 ``argparse.ArgumentParser(parents=[...])``.
 
 The registry deliberately covers only flags whose *meaning* is shared
-across tools.  ``repro-compile``'s ``--verify MEM`` (which takes an
+across tools.  ``repro compile``'s ``--verify MEM`` (which takes an
 initial-memory mapping) is a different contract from the boolean
 ``--verify`` of the experiments/serve tools, so it stays tool-local.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 from typing import Dict, Iterable, Optional, Tuple
 
+from .sched.core import ENGINE_ALIASES, ENGINES
 from .sched.search import DEFAULT_CURTAIL
 
 __all__ = ["common_flags", "COMMON_FLAGS"]
@@ -29,13 +30,15 @@ COMMON_FLAGS: Dict[str, Tuple[tuple, dict]] = {
     "engine": (
         ("--engine",),
         dict(
-            choices=("fast", "reference", "vector", "native"),
+            # Retired aliases stay accepted (existing command lines and
+            # journals still run) but out of the help text.
+            choices=ENGINES + tuple(ENGINE_ALIASES),
+            metavar="{" + ",".join(ENGINES) + "}",
             default="fast",
             help="search engine: the flattened array core (fast), the "
-            "NumPy-batched variant of it (vector; falls back to fast "
-            "when numpy is missing), the compiled C hot core (native; "
-            "falls back to fast when no C compiler is found) or the "
-            "recursive reference — bit-for-bit identical results",
+            "compiled C hot core (native; falls back to fast when no C "
+            "compiler is found) or the recursive reference — bit-for-bit "
+            "identical results",
         ),
     ),
     "seed": (

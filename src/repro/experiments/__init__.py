@@ -1,6 +1,6 @@
 """Experiments reproducing every table and figure of the paper's
 evaluation (plus ablations and extensions).  See DESIGN.md §3 for the
-index and ``repro-experiments --help`` for the CLI."""
+index and ``repro experiments --help`` for the CLI."""
 
 from . import (
     ablation,

@@ -1,4 +1,4 @@
-"""Command-line entry point: ``repro-experiments``.
+"""Command-line entry point: ``repro experiments``.
 
 Regenerates the paper's tables and figures (plus the ablations and
 extensions) and prints them as text; ``--csv DIR`` additionally writes
@@ -6,18 +6,18 @@ machine-readable CSVs.
 
 Examples::
 
-    repro-experiments all
-    repro-experiments table7 --blocks 2000
-    repro-experiments table1 fig4 --csv results/
-    repro-experiments table7 --workers 8 --stats-json stats.json
-    REPRO_SCALE=1 repro-experiments all --workers 0   # full run, all cores
+    repro experiments all
+    repro experiments table7 --blocks 2000
+    repro experiments table1 fig4 --csv results/
+    repro experiments table7 --workers 8 --stats-json stats.json
+    REPRO_SCALE=1 repro experiments all --workers 0   # full run, all cores
 
 Fault tolerance (see docs/architecture.md, "Fault tolerance")::
 
-    repro-experiments table7 --journal run.journal     # checkpoint as you go
-    repro-experiments table7 --resume run.journal      # continue after a crash
-    repro-experiments table7 --run-timeout 600         # degrade, don't overrun
-    repro-experiments table7 --workers 4 --chaos crash=0.1,hang=0.05,seed=7
+    repro experiments table7 --journal run.journal     # checkpoint as you go
+    repro experiments table7 --resume run.journal      # continue after a crash
+    repro experiments table7 --run-timeout 600         # degrade, don't overrun
+    repro experiments table7 --workers 4 --chaos crash=0.1,hang=0.05,seed=7
 """
 
 from __future__ import annotations

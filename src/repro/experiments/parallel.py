@@ -63,6 +63,7 @@ from ..resilience.supervisor import (
     SupervisorConfig,
     validate_records,
 )
+from ..sched.core import resolve_engine
 from ..sched.search import SearchOptions
 from ..synth.population import (
     BlockParams,
@@ -242,16 +243,12 @@ def run_population_parallel(
         machine = paper_simulation_machine()
     if options is None:
         options = SearchOptions(curtail=curtail)
-    if options.engine in ("vector", "native"):
-        from ..sched.core import resolve_engine
-
-        # Normalize in the parent rather than letting every worker
-        # discover the missing dependency (NumPy / a C compiler) on its
-        # own: one warning line per run, byte-identical records, never a
-        # crash.
-        resolved = resolve_engine(options.engine, telemetry=telemetry)
-        if resolved != options.engine:
-            options = dataclasses.replace(options, engine=resolved)
+    # Resolve in the parent rather than letting every worker meet a
+    # retired alias or a missing C compiler on its own: one notice line
+    # per run, byte-identical records, never a crash.
+    resolved = resolve_engine(options.engine, telemetry=telemetry)
+    if resolved != options.engine:
+        options = dataclasses.replace(options, engine=resolved)
     if supervisor is None:
         supervisor = SupervisorConfig()
     if budget is not None:

@@ -17,7 +17,7 @@ Design notes
   sparse cleverness.  When NumPy is importable the tableau rows and the
   reduced-cost row are ``float64`` arrays and a pivot is two vectorized
   updates; without it the same algorithm runs on plain lists (the
-  solver must *work* everywhere — the no-numpy CI job runs it — it just
+  solver must *work* everywhere — the no-numpy-simplex CI job runs it — it just
   solves small instances more slowly).
 * **Anti-cycling.**  Dantzig's rule (most negative reduced cost) until
   the objective stalls for ``_STALL_LIMIT`` consecutive pivots, then
@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 try:  # NumPy accelerates pivots but is never required.
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+except ImportError:  # pragma: no cover - exercised by the no-numpy-simplex CI job
     _np = None
 
 INF = math.inf

@@ -37,10 +37,22 @@ carry-in conditions and the Ω-call accounting follow the reference
 control flow exactly, in the same order; dense relabeling is a bijection
 on instructions and pipelines, so every memo/equivalence key equality
 class — hence every prune decision and count — is preserved.  The
-differential tests in ``tests/test_hot_core.py`` and the
-``repro-verify`` oracle hold the two engines to byte-identical
+differential tests in ``tests/test_hot_core.py`` and the ``repro
+verify`` oracle hold the engines to byte-identical
 ``SearchResult``/``SplitScheduleResult`` contents (everything except
 wall time).
+
+Engines
+-------
+This module is the one place that knows the engine names.
+:data:`ENGINES` lists them: ``fast`` (this module's flattened search),
+``native`` (the same search compiled to C in :mod:`repro.native`) and
+``reference`` (the recursive formulation in :mod:`repro.sched.search`
+and :mod:`repro.sched.splitting`).  :func:`check_engine` validates a
+requested name; :func:`resolve_engine` maps it onto the engine that
+runs in this process, holding the one alias (the retired ``vector``
+name runs ``fast``) and the one fallback (``native`` runs ``fast`` when
+the C kernel cannot be built).
 """
 
 from __future__ import annotations
@@ -60,57 +72,45 @@ from .nop_insertion import (
     SigmaResolver,
 )
 
-try:  # optional: the vector engine falls back to "fast" without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
 __all__ = [
+    "ENGINES",
+    "ENGINE_ALIASES",
     "FastOutcome",
+    "check_engine",
+    "resolve_engine",
     "run_fast_search",
     "run_fast_split",
-    "run_vector_search",
-    "run_vector_split",
     "run_native_search",
     "run_native_split",
-    "numpy_available",
-    "resolve_engine",
     "warn_native_fallback",
-    "VECTOR_MIN_FRONTIER",
 ]
 
-#: Ready sets narrower than this are scored with the scalar loop even
-#: under ``engine="vector"``: one fused NumPy pass costs a few µs of
-#: dispatch, which only amortizes once a node offers enough candidates.
-#: The paper population averages ~1-2 ready instructions per node, so
-#: the batch kernels engage on wide frontiers (splitting windows,
-#: adversarial wide blocks), not on every node.
-VECTOR_MIN_FRONTIER = 32
+#: The search engines, bit-for-bit identical in every recorded field.
+ENGINES = ("fast", "native", "reference")
 
-#: Sentinel for "pipeline has no last issue": negative enough that
-#: ``sentinel + enqueue_time`` can never win a max against a real issue
-#: cycle (all real cycles are >= 0).
-_PL_NONE = -(1 << 40)
+#: Retired engine names still accepted as input (service requests and
+#: checkpoint journals outlive the code) and the engine each now runs.
+ENGINE_ALIASES = {"vector": "fast"}
 
-_vector_fallback_warned = False
+_alias_warned = False
 _native_fallback_warned = False
 
 
-def numpy_available() -> bool:
-    """Whether the NumPy batch kernels can run in this process."""
-    return _np is not None
+def check_engine(engine: str) -> str:
+    """Validate an engine name; returns the engine it selects.
 
-
-def warn_vector_fallback(reason: str = "numpy is not installed") -> None:
-    """Print the one-line vector->fast fallback notice (once per process)."""
-    global _vector_fallback_warned
-    if not _vector_fallback_warned:
-        _vector_fallback_warned = True
-        print(
-            f"repro: engine 'vector' unavailable ({reason}); "
-            "falling back to 'fast' (results are bit-for-bit identical)",
-            file=sys.stderr,
-        )
+    Accepts every name in :data:`ENGINES` plus the retired aliases
+    (silently mapped); anything else raises ``ValueError``.
+    """
+    if engine in ENGINES:
+        return engine
+    if engine in ENGINE_ALIASES:
+        return ENGINE_ALIASES[engine]
+    names = ", ".join(repr(name) for name in ENGINES[:-1])
+    raise ValueError(
+        f"unknown search engine {engine!r} "
+        f"(expected {names} or {ENGINES[-1]!r})"
+    )
 
 
 def warn_native_fallback(reason: str) -> None:
@@ -126,25 +126,28 @@ def warn_native_fallback(reason: str) -> None:
 
 
 def resolve_engine(engine: str, telemetry=None) -> str:
-    """Map a requested engine onto one that can run in this process.
+    """Map a requested engine onto the one that runs in this process.
 
-    ``"vector"`` degrades to ``"fast"`` when NumPy is absent and
-    ``"native"`` degrades to ``"fast"`` when the C kernel cannot be
-    compiled/loaded; everything else passes through.  Each degradation
-    prints a one-line stderr notice once per process (population runs
-    normalize the engine in the *parent*, so ``--workers N`` still warns
-    exactly once total) and bumps the ``search.engine_fallbacks``
-    counter when a telemetry registry is attached.  Safe to call in
-    worker processes — all engines are bit-for-bit identical in every
-    recorded field, so the substitution never changes results, only
-    wall time.
+    A retired alias runs the engine it maps to, after a one-line stderr
+    notice (once per process).  ``"native"`` degrades to ``"fast"`` when
+    the C kernel cannot be compiled/loaded, after its own one-line
+    notice, and bumps the ``search.engine_fallbacks`` counter when a
+    telemetry registry is attached.  Unknown names raise ``ValueError``.
+    Population runs resolve in the *parent*, so ``--workers N`` still
+    prints each notice once in total.  Safe to call in worker processes:
+    all engines are bit-for-bit identical in every recorded field, so
+    the substitution never changes results, only wall time.
     """
-    if engine == "vector" and _np is None:
-        warn_vector_fallback()
-        if telemetry is not None:
-            telemetry.count("search.engine_fallbacks")
-        return "fast"
-    if engine == "native":
+    global _alias_warned
+    resolved = check_engine(engine)
+    if resolved != engine and not _alias_warned:
+        _alias_warned = True
+        print(
+            f"repro: engine {engine!r} is deprecated; running "
+            f"{resolved!r} (results are bit-for-bit identical)",
+            file=sys.stderr,
+        )
+    if resolved == "native":
         from ..native import native_available, unavailable_reason
 
         if not native_available():
@@ -152,7 +155,7 @@ def resolve_engine(engine: str, telemetry=None) -> str:
             if telemetry is not None:
                 telemetry.count("search.engine_fallbacks")
             return "fast"
-    return engine
+    return resolved
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,6 @@ class _Flat:
         "n", "idents", "index_of", "lat", "enq", "sig",
         "preds", "pred_mask", "succs", "succ_mask",
         "P", "pipe_enq", "pipe_last", "var_bound", "has_vb", "vb_items",
-        "np_tables",
     )
 
     def __init__(
@@ -244,40 +246,6 @@ class _Flat:
             (k, b) for k, b in enumerate(self.var_bound) if b is not None
         )
         self.has_vb = bool(self.vb_items)
-        #: Lazy NumPy mirrors of the static tables (vector engine only).
-        self.np_tables: Optional[dict] = None
-
-
-def _np_tables(flat: _Flat) -> dict:
-    """NumPy mirrors of ``_Flat``'s static int tables, built on demand.
-
-    Only the tables the batch kernels index with candidate arrays are
-    mirrored; everything mutable (``pipe_last``, the incremental
-    dependence constraints) stays in Python lists and is converted at
-    the (rare) nodes whose frontier is wide enough to batch.
-    """
-    t = flat.np_tables
-    if t is None:
-        t = flat.np_tables = {
-            "lat": _np.asarray(flat.lat, dtype=_np.int64),
-            "enq": _np.asarray(flat.enq, dtype=_np.int64),
-            "sig": _np.asarray(flat.sig, dtype=_np.int64),
-        }
-    return t
-
-
-def _mask_indices(mask: int, n: int):
-    """Dense indices of the set bits of ``mask``, ascending (NumPy array).
-
-    Ascending order matches the lowest-bit-first scalar scan, so batch
-    and scalar candidate lists agree even before the (total) sort.
-    """
-    nbytes = (n + 7) >> 3
-    bits = _np.unpackbits(
-        _np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=_np.uint8),
-        bitorder="little",
-    )
-    return _np.nonzero(bits[:n])[0]
 
 
 def _flat_timing(flat: _Flat, dense_order: List[int]) -> ScheduleTiming:
@@ -542,8 +510,8 @@ def run_native_search(
     The preamble (seed pricing, heuristic incumbents, root lower bound)
     is literally :func:`run_fast_search`'s — only the core loop is
     swapped for the compiled kernel, so every ``SearchResult`` field
-    except ``elapsed_seconds`` is bit-for-bit identical to the fast,
-    vector and reference engines.  Without a usable C compiler this
+    except ``elapsed_seconds`` is bit-for-bit identical to the fast
+    and reference engines.  Without a usable C compiler this
     degrades to :func:`run_fast_search` after a one-line notice.
     """
     from ..native import bindings as _nb
@@ -972,259 +940,6 @@ def _run_fast_dfs(
     )
 
 
-def run_vector_search(
-    dag: DependenceDAG,
-    machine: MachineDescription,
-    resolver: SigmaResolver,
-    options,
-    initial: Optional[InitialConditions],
-    seed: Tuple[int, ...],
-    fits_budget,
-    start: float,
-):
-    """``run_fast_search`` with NumPy batch kernels (``engine="vector"``).
-
-    Same contract as :func:`run_fast_search` — every ``SearchResult``
-    field except ``elapsed_seconds`` is bit-for-bit identical to the
-    fast and reference engines.  What changes is *how* the numbers are
-    computed:
-
-    * ready-set Ω scoring (DFS nodes, greedy seeding, split windows) is
-      batched into fused NumPy passes whenever the frontier has at least
-      ``VECTOR_MIN_FRONTIER`` candidates, and otherwise runs a scalar
-      loop over an incrementally maintained dependence-constraint array
-      (``cstr[k] = max(var bound, max over scheduled preds of
-      issue + latency)``) instead of re-walking predecessor lists;
-    * the pipeline-user and root lower bounds are evaluated with
-      ``bincount``/array maxima on wide blocks;
-    * dominance-memo keys are packed into single machine-width-free
-      integers (mixed-radix over the pipe/dangling state) when the
-      block carries no initial conditions.
-
-    The DFS control flow, prune ordering and dominance memo semantics
-    are untouched.  When NumPy is missing this degrades to
-    :func:`run_fast_search` after a one-line notice.
-    """
-    from .search import SearchResult
-
-    if _np is None:
-        warn_vector_fallback()
-        return run_fast_search(
-            dag, machine, resolver, options, initial, seed, fits_budget, start
-        )
-
-    perf_counter = time.perf_counter
-    n = len(dag)
-    if not dag.is_legal_order(seed):
-        raise ValueError("order is not a legal (dependence-respecting) schedule")
-    flat = _Flat(dag, machine, resolver, initial)
-    index_of = flat.index_of
-
-    seed_timing = _flat_timing(flat, [index_of[i] for i in seed])
-    omega_calls = n
-    best = seed_timing
-    improvements = 0
-    if options.heuristic_seeds and n > 1:
-        idents = flat.idents
-        heights = dag.heights
-        descendants = dag.descendants
-        position = dag.block.position_of
-        gross_keys = [
-            (-heights[i], -len(descendants[i]), position(i)) for i in idents
-        ]
-        greedy_keys = [(position(i),) for i in idents]
-        for tiebreak in (gross_keys, greedy_keys):
-            candidate = _vector_greedy(flat, tiebreak)
-            omega_calls += n
-            if candidate.total_nops < best.total_nops and fits_budget(
-                candidate.order
-            ):
-                best = candidate
-                improvements += 1
-
-    if n <= 1:
-        return SearchResult(
-            best,
-            seed_timing,
-            omega_calls,
-            True,
-            perf_counter() - start,
-            0,
-            prune_counts=prune_counts(),
-        )
-
-    lat = flat.lat
-    succs = flat.succs
-    chain = [0] * n
-    for k in range(n - 1, -1, -1):
-        sk = succs[k]
-        if sk:
-            lk = lat[k]
-            chain[k] = max(lk + chain[s] for s in sk)
-    max_latency = max((p.latency for p in machine.pipelines), default=1)
-
-    if n >= VECTOR_MIN_FRONTIER:
-        sig_np = _np_tables(flat)["sig"]
-        users = _np.bincount(
-            sig_np[sig_np >= 0], minlength=flat.P
-        ).tolist()
-    else:
-        sig = flat.sig
-        users = [0] * flat.P
-        for k in range(n):
-            if sig[k] >= 0:
-                users[sig[k]] += 1
-
-    if options.lower_bound_prune:
-        if n >= VECTOR_MIN_FRONTIER:
-            root_lb = max(0, int(_np.asarray(chain).max()) + 1 - n)
-            users_np = _np.asarray(users, dtype=_np.int64)
-            pe_np = _np.asarray(flat.pipe_enq, dtype=_np.int64)
-            pipe_lb = _np.where(
-                users_np > 0, (users_np - 1) * pe_np + 1 - n, _PL_NONE
-            )
-            if flat.P:
-                root_lb = max(root_lb, int(pipe_lb.max()))
-        else:
-            root_lb = max(0, max(1 + c for c in chain) - n)
-            pipe_enq = flat.pipe_enq
-            for p in range(flat.P):
-                ku = users[p]
-                if ku:
-                    root_lb = max(root_lb, ((ku - 1) * pipe_enq[p] + 1) - n)
-        if best.total_nops <= root_lb:
-            return SearchResult(
-                best,
-                seed_timing,
-                omega_calls,
-                True,
-                perf_counter() - start,
-                improvements,
-                proved_by_bound=True,
-                prune_counts=prune_counts(bounds=1),
-            )
-
-    out = _run_vector_dfs(
-        flat, dag, options, seed, best, omega_calls, improvements,
-        start, chain, users, max_latency,
-    )
-    return SearchResult(
-        best=out.best,
-        initial=seed_timing,
-        omega_calls=out.omega_calls,
-        completed=out.completed,
-        elapsed_seconds=perf_counter() - start,
-        improvements=out.improvements,
-        timed_out=out.timed_out,
-        memo_evicted=out.memo_evicted,
-        prune_counts=out.prune_counts,
-    )
-
-
-def _vector_greedy(
-    flat: _Flat, tiebreak: List[Tuple[int, ...]]
-) -> ScheduleTiming:
-    """:func:`_flat_greedy` with batch scoring on wide ready sets.
-
-    Emits the identical order (tie-break keys end in the unique program
-    position, so the minimum is unique): narrow frontiers run a scalar
-    argmin over the incremental ``cstr`` constraint array, wide ones
-    score every ready instruction in one NumPy pass and pick the
-    minimum of ``(η, *tiebreak)`` via ``lexsort``.
-    """
-    n = flat.n
-    lat = flat.lat
-    enq = flat.enq
-    sig = flat.sig
-    succs = flat.succs
-    var_bound = flat.var_bound
-    idents = flat.idents
-    pipe_last = list(flat.pipe_last)
-    P = flat.P
-    issue = [0] * n
-    etas: List[int] = []
-    issues: List[int] = []
-    out: List[int] = []
-    indeg = [len(flat.preds[k]) for k in range(n)]
-    ready = [k for k in range(n) if indeg[k] == 0]
-    # cstr[k]: dependence/carry-in floor on k's issue cycle.  For a
-    # ready instruction every predecessor is already scheduled, so this
-    # equals the reference's max over predecessors — no preds walk.
-    cstr = [
-        0 if var_bound[k] is None else max(0, var_bound[k]) for k in range(n)
-    ]
-    t = _np_tables(flat)
-    enq_np = t["enq"]
-    sig_np = t["sig"]
-    T = _np.asarray(tiebreak, dtype=_np.int64)
-    ncols = T.shape[1]
-    prev = -1
-    while ready:
-        base = prev + 1
-        if len(ready) >= VECTOR_MIN_FRONTIER:
-            ks = _np.asarray(ready, dtype=_np.int64)
-            e = _np.asarray(cstr, dtype=_np.int64)[ks]
-            _np.maximum(e, base, out=e)
-            if P:
-                pl_np = _np.fromiter(
-                    (pl if pl is not None else _PL_NONE for pl in pipe_last),
-                    dtype=_np.int64,
-                    count=P,
-                )
-                sg = sig_np[ks]
-                pipe_term = _np.where(
-                    sg >= 0, pl_np[sg] + enq_np[ks], _PL_NONE
-                )
-                _np.maximum(e, pipe_term, out=e)
-            eta_np = e - base
-            cols = T[ks]
-            keys = tuple(
-                cols[:, c] for c in range(ncols - 1, -1, -1)
-            ) + (eta_np,)
-            j = int(_np.lexsort(keys)[0])
-            best_k = int(ks[j])
-            best_e = int(e[j])
-        else:
-            best_k = -1
-            best_e = 0
-            best_key = None
-            for k in ready:
-                e = cstr[k]
-                if base > e:
-                    e = base
-                p = sig[k]
-                if p >= 0:
-                    pl = pipe_last[p]
-                    if pl is not None:
-                        v = pl + enq[k]
-                        if v > e:
-                            e = v
-                key = (e - base, *tiebreak[k])
-                if best_key is None or key < best_key:
-                    best_k, best_e, best_key = k, e, key
-        ready.remove(best_k)
-        out.append(best_k)
-        issue[best_k] = best_e
-        etas.append(best_e - base)
-        issues.append(best_e)
-        p = sig[best_k]
-        if p >= 0:
-            pipe_last[p] = best_e
-        prev = best_e
-        rel = best_e + lat[best_k]
-        for s in succs[best_k]:
-            if rel > cstr[s]:
-                cstr[s] = rel
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.append(s)
-    return ScheduleTiming(
-        tuple(idents[k] for k in out),
-        tuple(etas),
-        tuple(issues),
-    )
-
-
 def run_fast_split(
     dag: DependenceDAG,
     machine: MachineDescription,
@@ -1233,7 +948,6 @@ def run_fast_split(
     window: int,
     curtail_per_window: int,
     initial: Optional[InitialConditions],
-    batch_frontier: Optional[int] = None,
 ) -> Tuple[ScheduleTiming, Tuple[Tuple[int, ...], ...], int, bool, Dict[str, int]]:
     """The windowed search of ``schedule_block_split``, on packed arrays.
 
@@ -1242,12 +956,6 @@ def run_fast_split(
     timing state is carried across windows exactly like the shared
     ``IncrementalTimingState`` in the reference, so cross-window
     latencies and enqueue conflicts are priced identically.
-
-    ``batch_frontier`` (the vector engine, via :func:`run_vector_split`)
-    enables the NumPy window scorer: ready frontiers at least that wide
-    are priced in one fused array pass off an incrementally maintained
-    dependence-constraint array instead of per-candidate predecessor
-    walks.  Candidate η values are the same integers either way.
     """
     flat = _Flat(dag, machine, resolver, initial)
     n = flat.n
@@ -1268,20 +976,6 @@ def run_fast_split(
     issue = [0] * n
     pipe_saved: List[Optional[Tuple[int, Optional[int]]]] = []
     total_nops = 0
-
-    track_cstr = batch_frontier is not None and _np is not None
-    if track_cstr:
-        # Same invariant as the vector DFS: cstr[k] holds the floor
-        # imposed by carry-ins and *scheduled* predecessors, with an
-        # undo list per push so pricing passes restore it exactly.
-        cstr = [
-            0 if var_bound[k] is None else max(0, var_bound[k])
-            for k in range(n)
-        ]
-        cstr_saved: List[List[int]] = []
-        npt = _np_tables(flat)
-        enq_np = npt["enq"]
-        sig_np = npt["sig"]
 
     def fpeek(k: int) -> int:
         base = issue[order[-1]] + 1 if order else 0
@@ -1318,26 +1012,14 @@ def run_fast_split(
         else:
             pipe_saved.append((p, pipe_last[p]))
             pipe_last[p] = iss
-        if track_cstr:
-            rel = iss + lat[k]
-            sv = []
-            for s in succs[k]:
-                c = cstr[s]
-                sv.append(c)
-                if rel > c:
-                    cstr[s] = rel
-            cstr_saved.append(sv)
 
     def fpop() -> None:
         nonlocal total_nops
-        k = order.pop()
+        order.pop()
         total_nops -= etas.pop()
         saved = pipe_saved.pop()
         if saved is not None:
             pipe_last[saved[0]] = saved[1]
-        if track_cstr:
-            for s, c in zip(succs[k], cstr_saved.pop()):
-                cstr[s] = c
 
     def window_search(members: List[int], curtail: int):
         """One window's branch-and-bound, mirroring ``_schedule_window``."""
@@ -1346,10 +1028,6 @@ def run_fast_split(
         for k in members:
             member_mask |= 1 << k
         wseed = {k: pos for pos, k in enumerate(members)}
-        if track_cstr:
-            wseed_np = _np.zeros(n, dtype=_np.int64)
-            for pos, k in enumerate(members):
-                wseed_np[k] = pos
         windeg = {
             k: (pred_mask[k] & member_mask).bit_count() for k in members
         }
@@ -1409,65 +1087,31 @@ def run_fast_split(
         def wexpand(remaining: int) -> list:
             nonlocal n_legality, n_bounds
             base = issue[order[-1]] + 1 if order else 0
-            if track_cstr and ready_mask.bit_count() >= batch_frontier:
-                # Vector engine, wide window frontier: one fused pass
-                # over every ready candidate (same η integers as the
-                # scalar loop below — cstr covers carry-ins and all
-                # scheduled predecessors of a ready instruction).
-                ks = _mask_indices(ready_mask, n)
-                e = _np.asarray(cstr, dtype=_np.int64)[ks]
-                _np.maximum(e, base, out=e)
-                if flat.P:
-                    pl_np = _np.fromiter(
-                        (
-                            pl if pl is not None else _PL_NONE
-                            for pl in pipe_last
-                        ),
-                        dtype=_np.int64,
-                        count=flat.P,
-                    )
-                    sg = sig_np[ks]
-                    pipe_term = _np.where(
-                        sg >= 0, pl_np[sg] + enq_np[ks], _PL_NONE
-                    )
-                    _np.maximum(e, pipe_term, out=e)
-                eta_np = e - base
-                sd = wseed_np[ks]
-                o = _np.lexsort((ks, sd, eta_np))
-                cands = list(
-                    zip(
-                        eta_np[o].tolist(),
-                        sd[o].tolist(),
-                        ks[o].tolist(),
-                    )
-                )
-                n_legality += remaining - len(cands)
-            else:
-                cands = []
-                rm = ready_mask
-                while rm:
-                    low = rm & -rm
-                    rm -= low
-                    k = low.bit_length() - 1
-                    e = base
-                    p = sig[k]
-                    if p >= 0:
-                        pl = pipe_last[p]
-                        if pl is not None:
-                            v = pl + enq[k]
-                            if v > e:
-                                e = v
-                    if has_vb:
-                        v = var_bound[k]
-                        if v is not None and v > e:
-                            e = v
-                    for d in preds[k]:
-                        v = issue[d] + lat[d]
+            cands = []
+            rm = ready_mask
+            while rm:
+                low = rm & -rm
+                rm -= low
+                k = low.bit_length() - 1
+                e = base
+                p = sig[k]
+                if p >= 0:
+                    pl = pipe_last[p]
+                    if pl is not None:
+                        v = pl + enq[k]
                         if v > e:
                             e = v
-                    cands.append((e - base, wseed[k], k))
-                n_legality += remaining - len(cands)
-                cands.sort()
+                if has_vb:
+                    v = var_bound[k]
+                    if v is not None and v > e:
+                        e = v
+                for d in preds[k]:
+                    v = issue[d] + lat[d]
+                    if v > e:
+                        e = v
+                cands.append((e - base, wseed[k], k))
+            n_legality += remaining - len(cands)
+            cands.sort()
             if len(order) > entry_len:
                 window_nops = total_nops - base_nops
                 lb = 0
@@ -1564,514 +1208,3 @@ def run_fast_split(
         tuple(issue[k] for k in order),
     )
     return timing, tuple(windows), omega_calls, all_completed, totals
-
-
-def run_vector_split(
-    dag: DependenceDAG,
-    machine: MachineDescription,
-    resolver: SigmaResolver,
-    seed: Tuple[int, ...],
-    window: int,
-    curtail_per_window: int,
-    initial: Optional[InitialConditions],
-) -> Tuple[ScheduleTiming, Tuple[Tuple[int, ...], ...], int, bool, Dict[str, int]]:
-    """``run_fast_split`` with the NumPy batch window scorer enabled.
-
-    Windows whose ready frontier reaches ``VECTOR_MIN_FRONTIER`` price
-    all their candidates in one fused array pass; narrower frontiers
-    run the shared scalar loop.  Results are bit-for-bit identical to
-    ``run_fast_split`` (and the reference splitter); without NumPy this
-    degrades to the fast splitter after a one-line notice.
-    """
-    if _np is None:
-        warn_vector_fallback()
-        return run_fast_split(
-            dag, machine, resolver, seed, window, curtail_per_window, initial
-        )
-    return run_fast_split(
-        dag, machine, resolver, seed, window, curtail_per_window, initial,
-        batch_frontier=VECTOR_MIN_FRONTIER,
-    )
-
-
-def _run_vector_dfs(
-    flat: _Flat,
-    dag: DependenceDAG,
-    options,
-    seed: Tuple[int, ...],
-    best: ScheduleTiming,
-    omega_calls: int,
-    improvements: int,
-    start: float,
-    chain: List[int],
-    users: List[int],
-    max_latency: int,
-) -> FastOutcome:
-    """The pruned DFS under ``engine="vector"``.
-
-    Control flow, prune ordering and Ω accounting mirror
-    :func:`_run_fast_dfs` decision-for-decision; the differences are in
-    the evaluation machinery only:
-
-    * candidate η and the chain lower bound come from the incremental
-      ``cstr`` dependence-constraint array instead of per-candidate
-      predecessor walks, scored scalar below ``VECTOR_MIN_FRONTIER``
-      ready instructions and in one fused NumPy pass at or above it;
-    * dominance-memo keys are packed into a single mixed-radix integer
-      when the block has no carry-in state (``packable``) — an
-      injective image of the reference tuple key, so hits, misses and
-      FIFO evictions coincide exactly;
-    * complete schedules and α-β-pruned extensions are resolved from
-      ``total_nops + η`` before pushing (the push/undo pair is dead
-      work for a leaf — state-neutral and count-preserving).
-    """
-    n = flat.n
-    idents = flat.idents
-    index_of = flat.index_of
-    lat = flat.lat
-    enq = flat.enq
-    sig = flat.sig
-    preds = flat.preds
-    succs = flat.succs
-    succ_mask = flat.succ_mask
-    pipe_enq = flat.pipe_enq
-    pipe_last = list(flat.pipe_last)
-    var_bound = flat.var_bound
-    has_vb = flat.has_vb
-    vb_items = flat.vb_items
-    seed_at = [0] * n
-    for pos, ident in enumerate(seed):
-        seed_at[index_of[ident]] = pos
-
-    used_pipes = tuple(p for p in range(flat.P) if users[p])
-
-    budget = options.max_live
-    if budget is not None:
-        block_by_ident = dag.block.by_ident
-        operands = [
-            tuple(index_of[r] for r in set(block_by_ident(i).value_refs))
-            for i in idents
-        ]
-        consumers_left = [0] * n
-        for k in range(n):
-            for r in operands[k]:
-                consumers_left[r] += 1
-        produces = [
-            1 if block_by_ident(i).op.produces_value else 0 for i in idents
-        ]
-    live_count = 0
-
-    curtail = options.curtail
-    alpha_beta = options.alpha_beta
-    equivalence = options.equivalence_prune
-    lower_bounds = options.lower_bound_prune
-    dominance = options.dominance_prune
-    cheapest_first = options.cheapest_first
-    max_memo = options.max_memo_entries
-    deadline = (
-        None if options.time_limit is None else start + options.time_limit
-    )
-
-    # Incremental dependence constraint: cstr[k] = max(0, var bound,
-    # max over *scheduled* predecessors d of issue[d] + lat[d]).  A
-    # ready candidate has every predecessor scheduled, so its η is
-    # max(base, pipe term, cstr[k]) - base — bit for bit the reference
-    # recurrence, without walking preds[k] at every node.
-    cstr = [
-        0 if var_bound[k] is None else max(0, var_bound[k]) for k in range(n)
-    ]
-    cstr_saved: List[int] = []  # flat undo stack, len(succs[k]) per expansion
-
-    # Packed dominance-memo keys: (mask, pipes, dangling) folded into a
-    # single mixed-radix int.  Injective, so the memo partitions
-    # exactly like the reference tuple keys; only available without
-    # carry-in state (then every pipe's last issue <= tl and every
-    # latency fits the machine's max, keeping all digits in range).
-    packable = (
-        dominance
-        and not has_vb
-        and all(pl is None for pl in flat.pipe_last)
-        and (n == 0 or max(lat) <= max_latency)
-    )
-    if packable:
-        # Per-pipe digit: 0 = "cannot still conflict", else tl - pl + 1
-        # in [1, enq[p] - 1] — the same predicate the tuple key uses.
-        pipe_rad = [max(2, pipe_enq[p]) for p in range(flat.P)]
-        pipe_stride = [1] * flat.P
-        acc = 1
-        for p in range(flat.P):
-            pipe_stride[p] = acc
-            acc *= pipe_rad[p]
-        pipe_space = acc
-        # Dangling digits: slack in [0, max_latency) at radix position
-        # k.  A sum of slack * radix**k is order-independent, so the
-        # backward scan needs no sort to agree with the reference's
-        # sorted tuple of (k, slack) pairs.
-        dpow = [0] * n
-        acc = 1
-        for k in range(n):
-            dpow[k] = acc
-            acc *= max_latency
-
-    order: List[int] = []
-    etas: List[int] = []
-    issue = [0] * n
-    saved_p: List[int] = []
-    saved_v: List[Optional[int]] = []
-    total_nops = 0
-    last_iss = -1
-    indeg = [len(preds[k]) for k in range(n)]
-    ready_mask = 0
-    for k in range(n):
-        if indeg[k] == 0:
-            ready_mask |= 1 << k
-    mask = 0
-    memo: Dict[object, int] = {}
-
-    trivial = [
-        succ_mask[k] if sig[k] < 0 and indeg[k] == 0 else -1
-        for k in range(n)
-    ]
-
-    best_nops = best.total_nops
-    best_timing = best
-    completed = True
-    timed_out = False
-    n_legality = n_bounds = n_equivalence = n_alpha_beta = 0
-    n_dominance = n_curtail = n_timeout = n_memo_evicted = 0
-    by_seed = itemgetter(1)
-    P = flat.P
-    any_trivial = equivalence and any(t >= 0 for t in trivial)
-    perf_counter = time.perf_counter
-    npt = _np_tables(flat)
-    enq_np = npt["enq"]
-    sig_np = npt["sig"]
-    chain_np = _np.asarray(chain, dtype=_np.int64)
-    seed_np = _np.asarray(seed_at, dtype=_np.int64)
-
-    # Suspended ancestor frames, as parallel stacks (cheaper than a
-    # tuple per frame); the active frame lives in (cands, idx) locals.
-    cands_stack: List[list] = []
-    idx_stack: List[int] = []
-    cands: list = []
-    idx = 0
-    at_root = True
-    pending = n
-    while True:
-        if pending >= 0:
-            # ---- node entry: candidate η + chain bound, then the
-            # node-level prunes in reference order ----
-            remaining = pending
-            pending = -1
-            if at_root:
-                at_root = False
-            else:
-                cands_stack.append(cands)
-                idx_stack.append(idx)
-            base = last_iss + 1
-            rc = ready_mask.bit_count()
-            n_legality += remaining - rc
-            if rc == 1:
-                # Most nodes on the paper population offer exactly one
-                # ready instruction; skip list build and sort entirely.
-                k = ready_mask.bit_length() - 1
-                e = cstr[k]
-                if base > e:
-                    e = base
-                p = sig[k]
-                if p >= 0:
-                    pl = pipe_last[p]
-                    if pl is not None:
-                        v = pl + enq[k]
-                        if v > e:
-                            e = v
-                eta = e - base
-                cands = [(eta, seed_at[k], k)]
-                lb = 0
-                if lower_bounds:
-                    lb = 1 + eta + chain[k] - remaining
-                    if lb < 0:
-                        lb = 0
-            elif rc >= VECTOR_MIN_FRONTIER:
-                # Wide frontier: score every ready instruction in one
-                # fused array pass.
-                ks = _mask_indices(ready_mask, n)
-                e = _np.asarray(cstr, dtype=_np.int64)[ks]
-                _np.maximum(e, base, out=e)
-                if P:
-                    pl_np = _np.fromiter(
-                        (
-                            pl if pl is not None else _PL_NONE
-                            for pl in pipe_last
-                        ),
-                        dtype=_np.int64,
-                        count=P,
-                    )
-                    sg = sig_np[ks]
-                    pipe_term = _np.where(
-                        sg >= 0, pl_np[sg] + enq_np[ks], _PL_NONE
-                    )
-                    _np.maximum(e, pipe_term, out=e)
-                eta_np = e - base
-                lb = 0
-                if lower_bounds:
-                    lb = int((eta_np + chain_np[ks]).max()) + 1 - remaining
-                    if lb < 0:
-                        lb = 0
-                sd = seed_np[ks]
-                if cheapest_first:
-                    o = _np.lexsort((ks, sd, eta_np))
-                else:
-                    o = _np.argsort(sd)
-                cands = list(
-                    zip(
-                        eta_np[o].tolist(),
-                        sd[o].tolist(),
-                        ks[o].tolist(),
-                    )
-                )
-            else:
-                cands = []
-                lb = 0
-                rm = ready_mask
-                while rm:
-                    low = rm & -rm
-                    rm -= low
-                    k = low.bit_length() - 1
-                    e = cstr[k]
-                    if base > e:
-                        e = base
-                    p = sig[k]
-                    if p >= 0:
-                        pl = pipe_last[p]
-                        if pl is not None:
-                            v = pl + enq[k]
-                            if v > e:
-                                e = v
-                    eta = e - base
-                    cands.append((eta, seed_at[k], k))
-                    if lower_bounds:
-                        gap = 1 + eta + chain[k] - remaining
-                        if gap > lb:
-                            lb = gap
-                if cheapest_first:
-                    cands.sort()
-                else:
-                    cands.sort(key=by_seed)
-            idx = 0
-
-            pruned = False
-            if order:
-                mu = total_nops
-                if lower_bounds:
-                    tl = base - 1
-                    for p in used_pipes:
-                        ku = users[p]
-                        if ku:
-                            pl = pipe_last[p]
-                            pe = pipe_enq[p]
-                            first = tl + 1 if pl is None else pl + pe
-                            gap = (first + (ku - 1) * pe) - (tl + remaining)
-                            if gap > lb:
-                                lb = gap
-                    if mu + lb >= best_nops:
-                        n_bounds += 1
-                        pruned = True
-                if not pruned and dominance:
-                    tl = base - 1
-                    if packable:
-                        code = 0
-                        for p in range(P):
-                            pl = pipe_last[p]
-                            if pl is not None:
-                                d = tl - pl
-                                if d < pipe_enq[p] - 1:
-                                    code += (d + 1) * pipe_stride[p]
-                        # Issue times strictly increase along the
-                        # order: walk backward, stop at the first
-                        # instruction whose result cannot be in flight.
-                        dcode = 0
-                        notmask = ~mask
-                        for q in range(len(order) - 1, -1, -1):
-                            k = order[q]
-                            isk = issue[k]
-                            if isk + max_latency <= tl + 1:
-                                break
-                            slack = isk + lat[k] - tl - 1
-                            if slack > 0 and succ_mask[k] & notmask:
-                                dcode += slack * dpow[k]
-                        key = ((dcode * pipe_space + code) << n) | mask
-                    else:
-                        pipes = []
-                        for p in range(P):
-                            pl = pipe_last[p]
-                            if pl is not None and pl - tl + pipe_enq[p] > 1:
-                                pipes.append((p, pl - tl))
-                        dangling = []
-                        for k in order[-(max_latency + 1):]:
-                            slack = issue[k] + lat[k] - (tl + 1)
-                            if slack > 0 and succ_mask[k] & ~mask:
-                                dangling.append((k, slack))
-                        dangling.sort()
-                        residual_vars: tuple = ()
-                        if has_vb:
-                            residual_vars = tuple(
-                                sorted(
-                                    (k, b - (tl + 1))
-                                    for k, b in vb_items
-                                    if not (mask >> k) & 1 and b > tl + 1
-                                )
-                            )
-                        key = (mask, tuple(pipes), tuple(dangling), residual_vars)
-                    prev = memo.get(key)
-                    if prev is not None:
-                        if mu >= prev:
-                            n_dominance += 1
-                            pruned = True
-                        else:
-                            memo[key] = mu
-                    elif max_memo > 0:
-                        if len(memo) >= max_memo:
-                            memo.pop(next(iter(memo)))
-                            n_memo_evicted += 1
-                        memo[key] = mu
-
-            if pruned:
-                cands = ()
-            elif any_trivial and len(cands) > 1:
-                seen = set()
-                filtered = []
-                for c in cands:
-                    s = trivial[c[2]]
-                    if s >= 0:
-                        if s in seen:
-                            n_equivalence += 1
-                            continue
-                        seen.add(s)
-                    filtered.append(c)
-                cands = filtered
-
-        if idx == len(cands):
-            if not cands_stack:
-                break
-            k = order[-1]
-            ssk = succs[k]
-            for s in ssk:
-                if indeg[s] == 0:
-                    ready_mask &= ~(1 << s)
-                indeg[s] += 1
-            for s in reversed(ssk):
-                cstr[s] = cstr_saved.pop()
-            ready_mask |= 1 << k
-            mask ^= 1 << k
-            if budget is not None:
-                if produces[k] and consumers_left[k] > 0:
-                    live_count -= 1
-                for r in operands[k]:
-                    if consumers_left[r] == 0:
-                        live_count += 1
-                    consumers_left[r] += 1
-            p = sig[k]
-            if p >= 0:
-                users[p] += 1
-            order.pop()
-            e2 = etas.pop()
-            total_nops -= e2
-            last_iss = issue[k] - e2 - 1
-            sp = saved_p.pop()
-            sv = saved_v.pop()
-            if sp >= 0:
-                pipe_last[sp] = sv
-            cands = cands_stack.pop()
-            idx = idx_stack.pop()
-            continue
-        eta, _, k = cands[idx]
-        idx += 1
-        if budget is not None:
-            freed = 0
-            for r in operands[k]:
-                if consumers_left[r] == 1:
-                    freed += 1
-            if live_count - freed + produces[k] > budget:
-                continue
-        if omega_calls >= curtail:
-            n_curtail += 1
-            completed = False
-            break
-        if deadline is not None and perf_counter() > deadline:
-            n_timeout += 1
-            timed_out = True
-            completed = False
-            break
-        omega_calls += 1
-        # Leaf skip: a complete schedule or an α-β-pruned extension
-        # never mutates the search state — its outcome is a pure
-        # function of total_nops + η, so the fast engine's push/undo
-        # pair is dead work here.
-        new_nops = total_nops + eta
-        if len(order) + 1 == n:
-            if new_nops < best_nops:
-                best_nops = new_nops
-                iss = last_iss + 1 + eta
-                best_timing = ScheduleTiming(
-                    tuple(idents[q] for q in order) + (idents[k],),
-                    tuple(etas) + (eta,),
-                    tuple(issue[q] for q in order) + (iss,),
-                )
-                improvements += 1
-            continue
-        if alpha_beta and new_nops >= best_nops:
-            n_alpha_beta += 1
-            continue
-        iss = last_iss + 1 + eta
-        order.append(k)
-        etas.append(eta)
-        issue[k] = iss
-        total_nops += eta
-        last_iss = iss
-        p = sig[k]
-        if p < 0:
-            saved_p.append(-1)
-            saved_v.append(None)
-        else:
-            saved_p.append(p)
-            saved_v.append(pipe_last[p])
-            pipe_last[p] = iss
-            users[p] -= 1
-        if budget is not None:
-            for r in operands[k]:
-                c = consumers_left[r] = consumers_left[r] - 1
-                if c == 0:
-                    live_count -= 1
-            if produces[k] and consumers_left[k] > 0:
-                live_count += 1
-        ready_mask &= ~(1 << k)
-        mask |= 1 << k
-        rel = iss + lat[k]
-        for s in succs[k]:
-            d = indeg[s] = indeg[s] - 1
-            if d == 0:
-                ready_mask |= 1 << s
-            c = cstr[s]
-            cstr_saved.append(c)
-            if rel > c:
-                cstr[s] = rel
-        pending = n - len(order)
-
-    return FastOutcome(
-        best=best_timing,
-        omega_calls=omega_calls,
-        improvements=improvements,
-        completed=completed,
-        timed_out=timed_out,
-        memo_evicted=n_memo_evicted,
-        prune_counts=prune_counts(
-            legality=n_legality,
-            bounds=n_bounds,
-            equivalence=n_equivalence,
-            alpha_beta=n_alpha_beta,
-            curtail=n_curtail,
-            timeout=n_timeout,
-            dominance=n_dominance,
-        ),
-    )

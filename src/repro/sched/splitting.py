@@ -28,6 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription
 from ..telemetry import Telemetry, prune_counts
+from .core import resolve_engine, run_fast_split, run_native_split
 from .list_scheduler import list_schedule
 from .nop_insertion import (
     IncrementalTimingState,
@@ -84,22 +85,16 @@ def schedule_block_split(
         Curtail point applied to each window's search independently.
     engine:
         ``"fast"`` runs the windows on the flattened array engine in
-        :mod:`repro.sched.core`; ``"vector"`` adds that engine's NumPy
-        batch window scorer (degrading to ``"fast"`` with a one-line
-        notice when NumPy is absent); ``"native"`` runs the windows on
-        the compiled C kernel in :mod:`repro.native` (degrading to
-        ``"fast"`` with a one-line notice when no C compiler is
-        available); ``"reference"`` runs the recursive formulation
-        below.  Results are bit-for-bit identical (everything except
+        :mod:`repro.sched.core`; ``"native"`` runs them on the compiled
+        C kernel in :mod:`repro.native` (degrading to ``"fast"`` with a
+        one-line notice when no C compiler is available);
+        ``"reference"`` runs the recursive formulation below.  Results
+        are bit-for-bit identical (everything except
         ``elapsed_seconds``).
     """
     if window < 1:
         raise ValueError("window must be at least 1 instruction")
-    if engine not in ("fast", "reference", "vector", "native"):
-        raise ValueError(
-            f"unknown search engine {engine!r} "
-            "(expected 'fast', 'reference', 'vector' or 'native')"
-        )
+    engine = resolve_engine(engine, telemetry=telemetry)
     start = time.perf_counter()
     if seed is None:
         seed = list_schedule(dag)
@@ -109,19 +104,8 @@ def schedule_block_split(
 
     resolver = SigmaResolver(dag, machine, assignment)
 
-    if engine in ("vector", "native"):
-        from .core import resolve_engine
-
-        engine = resolve_engine(engine, telemetry=telemetry)
-
-    if engine in ("fast", "vector", "native"):
-        if engine == "vector":
-            from .core import run_vector_split as run_split
-        elif engine == "native":
-            from .core import run_native_split as run_split
-        else:
-            from .core import run_fast_split as run_split
-
+    if engine != "reference":
+        run_split = run_native_split if engine == "native" else run_fast_split
         timing, windows, omega_calls, all_completed, totals = run_split(
             dag, machine, resolver, seed, window,
             curtail_per_window, initial_conditions,

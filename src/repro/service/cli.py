@@ -217,6 +217,25 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-serve") -> int:
             pool.stop(drain_timeout=0.0)
         return 2
 
+    # SIGTERM = graceful drain: stop accepting, let in-flight requests
+    # resolve (or force-degrade them at the deadline), flush telemetry,
+    # exit 0.  The handler only pokes the serve loop; the drain itself
+    # runs on the main thread after serve_forever returns (at once, if
+    # the signal lands before the loop starts).  Installed before the
+    # ready file announces the daemon, so a SIGTERM sent the moment the
+    # file appears still drains.
+    terminated = threading.Event()
+
+    def on_sigterm(signum, frame) -> None:  # pragma: no cover - signal path
+        terminated.set()
+        service.begin_drain()
+        threading.Thread(target=server.shutdown, daemon=True).start()
+
+    try:
+        signal.signal(signal.SIGTERM, on_sigterm)
+    except ValueError:  # pragma: no cover - non-main thread (embedding)
+        pass
+
     if args.ready_file:
         atomic_write_json(args.ready_file, {"url": url, "pid": os.getpid()})
     store = cache.path if cache is not None and cache.path else (
@@ -232,22 +251,6 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-serve") -> int:
                 meta={"url": url, "curtail": args.curtail, "engine": args.engine},
             )
             print(f"[stats] telemetry written to {args.stats_json}")
-
-    # SIGTERM = graceful drain: stop accepting, let in-flight requests
-    # resolve (or force-degrade them at the deadline), flush telemetry,
-    # exit 0.  The handler only pokes the serve loop; the drain itself
-    # runs on the main thread after serve_forever returns.
-    terminated = threading.Event()
-
-    def on_sigterm(signum, frame) -> None:  # pragma: no cover - signal path
-        terminated.set()
-        service.begin_drain()
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    try:
-        signal.signal(signal.SIGTERM, on_sigterm)
-    except ValueError:  # pragma: no cover - non-main thread (embedding)
-        pass
 
     def drain_and_close() -> None:
         forced = service.drain(timeout=args.drain_timeout)

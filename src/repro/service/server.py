@@ -82,7 +82,7 @@ from ..machine.machine import MachineDescription, MachineValidationError
 from ..machine.presets import get_machine
 from ..machine.serialize import machine_from_dict
 from ..resilience.budget import STEP_LIST_SEED, BudgetManager
-from ..sched.core import resolve_engine
+from ..sched.core import check_engine, resolve_engine
 from ..sched.list_scheduler import list_schedule
 from ..sched.nop_insertion import compute_timing
 from ..sched.search import SearchOptions
@@ -308,22 +308,29 @@ class SchedulingService:
         return machine
 
     def _resolve_options(self, overrides: Any) -> SearchOptions:
-        if overrides is None:
-            return self.options
-        if not isinstance(overrides, dict):
-            raise ServiceError("options must be an object")
-        unknown = sorted(set(overrides) - set(_REQUEST_OPTIONS))
-        if unknown:
-            raise ServiceError(
-                f"unknown options: {', '.join(unknown)} "
-                f"(requests may set {', '.join(_REQUEST_OPTIONS)})"
-            )
         import dataclasses
 
-        try:
-            return dataclasses.replace(self.options, **overrides)
-        except (ValueError, TypeError) as exc:
-            raise ServiceError(f"bad options: {exc}") from None
+        options = self.options
+        if overrides is not None:
+            if not isinstance(overrides, dict):
+                raise ServiceError("options must be an object")
+            unknown = sorted(set(overrides) - set(_REQUEST_OPTIONS))
+            if unknown:
+                raise ServiceError(
+                    f"unknown options: {', '.join(unknown)} "
+                    f"(requests may set {', '.join(_REQUEST_OPTIONS)})"
+                )
+            try:
+                options = dataclasses.replace(self.options, **overrides)
+            except (ValueError, TypeError) as exc:
+                raise ServiceError(f"bad options: {exc}") from None
+        # Resolve in the front end, as population runs do in their
+        # parent: pool workers never meet a retired alias or a missing
+        # compiler, so each notice prints once per daemon.
+        engine = resolve_engine(options.engine)
+        if engine != options.engine:
+            options = dataclasses.replace(options, engine=engine)
+        return options
 
     def _resolve_deadline(self, deadline: Any) -> Optional[BudgetManager]:
         if deadline is None:
@@ -560,7 +567,10 @@ class SchedulingService:
             "accepting": not self._draining,
             "workers": self.pool is None or self.pool.alive_workers() > 0,
             "store": self._store_writable(),
-            "engine": resolve_engine(self.options.engine) == self.options.engine,
+            # Not ready only on a real fallback (native -> fast), not
+            # for a retired alias such as "vector".
+            "engine": resolve_engine(self.options.engine)
+            == check_engine(self.options.engine),
         }
         ready = all(checks.values())
         return ready, {"schema": SCHEMA, "ok": ready, "checks": checks}

@@ -18,7 +18,7 @@ package is the trust anchor that does not share that code:
   Failures are written as replayable discrepancy reports.
 * :mod:`repro.verify.fuzz` — seeded deterministic block/machine
   generation (no hypothesis dependency) plus the adversarial machine
-  gallery, for the ``repro-verify`` CLI and CI.
+  gallery, for the ``repro verify`` CLI and CI.
 * :mod:`repro.verify.loops` — the loop tier: modulo schedules checked
   against the independent steady-state certificate, the list-schedule
   steady state, and (tiny bodies) a complete brute-force minimum-II

@@ -1,15 +1,15 @@
-"""Command-line entry point: ``repro-verify``.
+"""Command-line entry point: ``repro verify``.
 
 Runs the differential oracle — every scheduler cross-checked through the
 independent certificate checker — over the built-in kernels, a seeded
 random block population, or a previously emitted discrepancy report::
 
-    repro-verify --kernels --machines all
-    repro-verify --blocks 200 --seed 1990
-    repro-verify --optimality --kernels --machines all
-    repro-verify --loops --machines all
-    repro-verify --kernels --blocks 50 --machines paper-simulation,scalar
-    repro-verify --replay results/discrepancies/fuzz-1990-3-adv-deep-pipe
+    repro verify --kernels --machines all
+    repro verify --blocks 200 --seed 1990
+    repro verify --optimality --kernels --machines all
+    repro verify --loops --machines all
+    repro verify --kernels --blocks 50 --machines paper-simulation,scalar
+    repro verify --replay results/discrepancies/fuzz-1990-3-adv-deep-pipe
 
 The ``--loops`` tier runs the loop oracle (modulo scheduler vs list
 steady state vs independent certificate vs brute-force minimum II) over
@@ -131,7 +131,7 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-verify") -> int:
         parser.error(str(exc))
 
     if not args.kernels and not args.loops and args.blocks <= 0:
-        args.kernels = True  # bare `repro-verify` still verifies something
+        args.kernels = True  # bare `repro verify` still verifies something
 
     try:
         return _run_checks(

@@ -11,7 +11,7 @@ exhaustive enumerations, then:
 * asserts the invariant lattice between the results::
 
       brute == exhaustive == search  <=  split            (search complete)
-            native == vector == fast == reference         (bit for bit,
+                   native == fast == reference            (bit for bit,
                                        engines            no time limit)
                               search <=  list             (always)
                               multi  <=  pinned search    (always)
@@ -55,6 +55,7 @@ from ..ir.textual import format_block, parse_block
 from ..ioutil import atomic_write_json, atomic_write_text
 from ..machine.machine import MachineDescription
 from ..machine.serialize import machine_from_dict, machine_to_dict
+from ..sched.core import ENGINES, check_engine
 from ..sched.exhaustive import legal_only_search
 from ..sched.list_scheduler import list_schedule
 from ..sched.multi import first_pipeline_assignment, schedule_block_multi
@@ -276,16 +277,15 @@ def check_block(
         schedules["search"]["optimality_gap"] = int(search.final_nops - bound)
 
     # Twin-engine runs: whichever engine `options` selects, the other
-    # three must reproduce it bit for bit (checked in the lattice below);
-    # with NumPy absent the "vector" twin degrades to a second "fast"
-    # run, and without a C compiler the "native" twin does the same,
-    # which keeps the check sound (identical, just not independent).
+    # two must reproduce it bit for bit (checked in the lattice below);
+    # without a C compiler the "native" twin degrades to a second "fast"
+    # run, which keeps the check sound (identical, just not independent).
     # Skipped under a wall-clock deadline, where the truncation point
     # legitimately depends on the engine's speed.
     twins: List[Tuple[str, object]] = []
     if options.time_limit is None:
-        for twin_engine in ("fast", "vector", "native", "reference"):
-            if twin_engine == options.engine:
+        for twin_engine in ENGINES:
+            if twin_engine == check_engine(options.engine):
                 continue
             twins.append(
                 (
@@ -364,7 +364,7 @@ def check_block(
             and twin.proved_by_bound == search.proved_by_bound
             and twin.memo_evicted == search.memo_evicted
             and dict(twin.prune_counts) == dict(search.prune_counts),
-            "native==vector==fast==reference",
+            "native==fast==reference",
             f"engines diverge: {search.final_nops} NOPs / "
             f"{search.omega_calls} omega calls ({options.engine}) vs "
             f"{twin.final_nops} / {twin.omega_calls} ({twin_engine})",

@@ -1,8 +1,9 @@
-"""Tests for the repro-experiments command-line interface."""
+"""Tests for the ``repro experiments`` command-line interface."""
 
 
 import pytest
 
+import repro.sched.core as core
 from repro.experiments.cli import ALL_EXPERIMENTS, main
 
 
@@ -47,3 +48,37 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "[population]" not in out
         assert "Table 1" in out
+
+    def test_vector_journal_resumes(self, tmp_path, monkeypatch, capsys):
+        """A journal written under the retired ``--engine vector`` still
+        resumes under it, and both runs render exactly like ``fast``."""
+        journal = str(tmp_path / "run.journal")
+        args = ["table7", "--blocks", "12", "--curtail", "4000"]
+
+        def table(out):
+            # Everything but the wall time and the journal bookkeeping.
+            return [
+                line
+                for line in out.splitlines()
+                if "done in" not in line
+                and not line.startswith("[journal]")
+                and "resuming" not in line
+            ]
+
+        assert main(args + ["--engine", "fast"]) == 0
+        fast = table(capsys.readouterr().out)
+        monkeypatch.setattr(core, "_alias_warned", False)
+        assert main(args + ["--engine", "vector", "--journal", journal]) == 0
+        first = capsys.readouterr()
+        # Keep the header and five records, as if the run had died.
+        with open(journal) as fh:
+            lines = fh.readlines()
+        with open(journal, "w") as fh:
+            fh.writelines(lines[:6])
+        assert main(args + ["--engine", "vector", "--resume", journal]) == 0
+        resumed = capsys.readouterr()
+        assert table(first.out) == fast
+        assert "resuming: 5 of 12 blocks recovered" in resumed.out
+        assert table(resumed.out) == fast
+        notices = first.err + resumed.err
+        assert notices.count("engine 'vector' is deprecated") == 1, notices

@@ -1,7 +1,7 @@
 """The flattened hot core (`repro.sched.core`) against the reference engine.
 
-The fast, vector and native engines' contract is *bit-for-bit* equality
-with the recursive reference — every ``SearchResult`` field except wall
+The fast and native engines' contract is *bit-for-bit* equality with
+the recursive reference — every ``SearchResult`` field except wall
 time.  These tests pin that contract:
 
 * differential fuzzing (hypothesis blocks x random + adversarial
@@ -10,12 +10,10 @@ time.  These tests pin that contract:
 * the degradation paths: dominance-memo eviction under a tiny
   ``max_memo_entries``, curtail, and wall-clock deadlines (including the
   ``BlockRecord.degraded`` path the experiments publish) — under all
-  four engines;
-* the vector engine's NumPy batch path (wide ready frontiers), its
-  carry-in (non-packable memo key) path, and its graceful fallback to
-  the fast engine when NumPy is missing;
+  three engines;
+* carry-in conditions and the windowed splitter on large blocks;
 * the engine switch itself (options validation, per-call override, the
-  split scheduler's engine parameter).
+  split scheduler's engine parameter, the retired ``vector`` alias).
 """
 
 import pytest
@@ -23,12 +21,11 @@ from hypothesis import given, settings
 
 import repro.sched.core as core
 from repro.experiments.runner import schedule_generated_block
-from repro.ir.block import BlockBuilder
 from repro.ir.dag import DependenceDAG
 from repro.machine.presets import get_machine
 from repro.sched.multi import first_pipeline_assignment
 from repro.sched.nop_insertion import InitialConditions
-from repro.sched.search import SearchOptions, schedule_block
+from repro.sched.search import ScheduleRequest, SearchOptions, schedule_block
 from repro.sched.splitting import schedule_block_split
 from repro.synth.population import PopulationSpec, sample_population
 from repro.telemetry import Telemetry
@@ -37,11 +34,10 @@ from repro.verify.certificate import check_schedule
 from .strategies import any_machines, blocks
 
 #: The full engine lattice: every member must agree with every other in
-#: all ``SearchResult`` fields except ``elapsed_seconds``.  "vector" is
-#: exercised even without NumPy installed, and "native" even without a C
-#: compiler — each then runs its documented fallback to "fast", which
-#: must preserve the same contract.
-ENGINES = ("fast", "vector", "native", "reference")
+#: all ``SearchResult`` fields except ``elapsed_seconds``.  "native" is
+#: exercised even without a C compiler — it then runs its documented
+#: fallback to "fast", which must preserve the same contract.
+ENGINES = core.ENGINES
 
 
 def _assignment_for(dag, machine):
@@ -77,7 +73,7 @@ def _run_all(dag, machine, options, assignment=None, **kwargs):
         for name in ENGINES
     }
     reference = _fields(results["reference"])
-    for name in ("fast", "vector", "native"):
+    for name in ("fast", "native"):
         assert _fields(results[name]) == reference, f"{name} != reference"
     return results["fast"]
 
@@ -135,7 +131,7 @@ def test_split_engines_match():
     for gb in members:
         dag = DependenceDAG(gb.block)
         ref = schedule_block_split(dag, machine, window=5, engine="reference")
-        for name in ("fast", "vector", "native"):
+        for name in ("fast", "native"):
             got = schedule_block_split(dag, machine, window=5, engine=name)
             assert got.timing == ref.timing
             assert got.omega_calls == ref.omega_calls
@@ -162,10 +158,8 @@ def test_memo_eviction_degrades_gracefully():
             dag, machine, options, telemetry=telemetry, engine="fast"
         )
         ref = schedule_block(dag, machine, options, engine="reference")
-        vec = schedule_block(dag, machine, options, engine="vector")
         nat = schedule_block(dag, machine, options, engine="native")
         assert _fields(fast) == _fields(ref)
-        assert _fields(vec) == _fields(ref)
         assert _fields(nat) == _fields(ref)
         evicted_anywhere = evicted_anywhere or fast.memo_evicted > 0
         # A starved memo may only cost omega calls, never quality.
@@ -268,40 +262,38 @@ def test_engine_override_beats_options():
     assert _fields(fast) == _fields(ref)
 
 
-# ----------------------------------------------------------------------
-# Vector engine specifics
-# ----------------------------------------------------------------------
-def test_vector_batch_path_on_wide_frontier(monkeypatch):
-    """A block whose root offers ~40 ready instructions drives the ready
-    frontier past ``VECTOR_MIN_FRONTIER``, so the vector engine takes the
-    fused NumPy scoring pass — and must still match both scalar engines
-    bit for bit."""
-    builder = BlockBuilder("wide")
-    refs = [builder.emit_load("a") for _ in range(40)]
-    builder.emit_store("a", refs[-1])
-    dag = DependenceDAG(builder.build())
-    machine = get_machine("paper-simulation")
-    # No lower-bound prune: the homogeneous block would otherwise be
-    # proven optimal at the root and never reach the DFS.
-    options = SearchOptions(curtail=2_000, lower_bound_prune=False)
-    if core.numpy_available():
-        batch_calls = []
-        real = core._mask_indices
-        monkeypatch.setattr(
-            core,
-            "_mask_indices",
-            lambda mask, n: (batch_calls.append(1), real(mask, n))[1],
-        )
-        _run_all(dag, machine, options)
-        assert batch_calls, "wide frontier never hit the NumPy batch scorer"
-    else:
-        _run_all(dag, machine, options)
+def test_vector_alias_runs_fast(monkeypatch, capsys):
+    """The retired ``vector`` name stays accepted on every entry point
+    and answers exactly like ``fast``, after one notice per process."""
+    machine, members = _population(6, seed=21)
+    dag = DependenceDAG(members[0].block)
+    fast = _fields(schedule_block(dag, machine, SearchOptions(), engine="fast"))
+    split_fast = schedule_block_split(dag, machine, window=4, engine="fast")
+    monkeypatch.setattr(core, "_alias_warned", False)
+    via_options = schedule_block(dag, machine, SearchOptions(engine="vector"))
+    via_override = schedule_block(dag, machine, SearchOptions(), engine="vector")
+    via_request = schedule_block(
+        ScheduleRequest(dag, machine, engine="vector")
+    )
+    split = schedule_block_split(dag, machine, window=4, engine="vector")
+    err = capsys.readouterr().err
+    assert err.count("engine 'vector' is deprecated") == 1, err
+    assert len(err.splitlines()) == 1, err
+    for result in (via_options, via_override, via_request):
+        assert _fields(result) == fast
+    assert split.timing == split_fast.timing
+    assert split.omega_calls == split_fast.omega_calls
+    assert split.windows == split_fast.windows
+    assert dict(split.prune_counts) == dict(split_fast.prune_counts)
 
 
+# ----------------------------------------------------------------------
+# Carry-in conditions and large split blocks
+# ----------------------------------------------------------------------
 def test_vector_engine_with_carry_in_conditions():
-    """Carry-in pipeline/variable state disables the packed memo keys
-    (the ``packable`` fast path); the tuple-key fallback inside the
-    vector engine must keep the lattice exact."""
+    """Carry-in pipeline/variable state (busy pipelines, late variables)
+    seeds the flat timing state the native kernel receives; the whole
+    lattice, native included, must stay exact under it."""
     machine, members = _population(25, seed=17)
     pid = sorted(p.ident for p in machine.pipelines)[0]
     for gb in members[:10]:
@@ -318,7 +310,7 @@ def test_vector_engine_with_carry_in_conditions():
 
 def test_vector_split_matches_on_large_blocks():
     """Blocks well past the window size exercise the carry-across-window
-    state under the vector splitter."""
+    state under the native splitter."""
     machine = get_machine("paper-simulation")
     spec = PopulationSpec(
         statement_shape=2.0, statement_scale=4.0, max_statements=25
@@ -328,29 +320,7 @@ def test_vector_split_matches_on_large_blocks():
             continue
         dag = DependenceDAG(gb.block)
         ref = schedule_block_split(dag, machine, window=6, engine="reference")
-        vec = schedule_block_split(dag, machine, window=6, engine="vector")
-        assert vec.timing == ref.timing
-        assert vec.omega_calls == ref.omega_calls
-        assert dict(vec.prune_counts) == dict(ref.prune_counts)
-
-
-def test_vector_engine_fallback_without_numpy(monkeypatch, capsys):
-    """With NumPy unavailable the vector engine must degrade to the fast
-    engine: one warning line per process, exit path identical, results
-    byte-for-byte the fast engine's."""
-    machine, members = _population(6, seed=21)
-    dag = DependenceDAG(members[0].block)
-    fast = schedule_block(dag, machine, SearchOptions(), engine="fast")
-    split_fast = schedule_block_split(dag, machine, window=4, engine="fast")
-    monkeypatch.setattr(core, "_np", None)
-    monkeypatch.setattr(core, "_vector_fallback_warned", False)
-    vec1 = schedule_block(dag, machine, SearchOptions(), engine="vector")
-    vec2 = schedule_block(dag, machine, SearchOptions(), engine="vector")
-    split_vec = schedule_block_split(dag, machine, window=4, engine="vector")
-    err = capsys.readouterr().err
-    assert err.count("falling back to 'fast'") == 1, err
-    assert _fields(vec1) == _fields(fast)
-    assert _fields(vec2) == _fields(fast)
-    assert split_vec.timing == split_fast.timing
-    assert split_vec.omega_calls == split_fast.omega_calls
-    assert dict(split_vec.prune_counts) == dict(split_fast.prune_counts)
+        nat = schedule_block_split(dag, machine, window=6, engine="native")
+        assert nat.timing == ref.timing
+        assert nat.omega_calls == ref.omega_calls
+        assert dict(nat.prune_counts) == dict(ref.prune_counts)

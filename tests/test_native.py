@@ -3,7 +3,7 @@
 Three layers of contract:
 
 * **Differential** — the native engine must be bit-for-bit the fast /
-  vector / reference engines in every ``SearchResult`` field except
+  reference engines in every ``SearchResult`` field except
   ``elapsed_seconds``, over random blocks x (random + adversarial)
   machines and under every truncation mode (curtail, wall-clock
   deadline, memo starvation).
@@ -11,8 +11,7 @@ Three layers of contract:
   later uses hit the cache without invoking the compiler; a corrupted
   cached object is recompiled once, transparently.
 * **Fallback** — without a C compiler the engine degrades to ``fast``
-  with exactly one stderr notice per process and a telemetry counter,
-  mirroring the vector engine's no-NumPy contract.
+  with exactly one stderr notice per process and a telemetry counter.
 
 The whole module degrades gracefully on a host without a compiler: the
 differential tests then exercise the documented fallback (identical
@@ -93,17 +92,17 @@ def _population(n_blocks, seed=7):
 @given(block=blocks(max_size=9), machine=any_machines())
 def test_native_matches_every_engine(block, machine):
     """Random blocks x (random + adversarial) machines: the native result
-    is field-for-field the fast, vector and reference results."""
+    is field-for-field the fast and reference results."""
     dag = DependenceDAG(block)
     assignment = _assignment_for(dag, machine)
     results = {
         name: schedule_block(
             dag, machine, SearchOptions(), assignment=assignment, engine=name
         )
-        for name in ("native", "fast", "vector", "reference")
+        for name in ("native", "fast", "reference")
     }
     native = _fields(results["native"])
-    for name in ("fast", "vector", "reference"):
+    for name in ("fast", "reference"):
         assert native == _fields(results[name]), f"native != {name}"
 
 

@@ -130,6 +130,22 @@ class TestWorkerPool:
         ]
         assert all(e["worker_retries"] == 0 for e in reply["entries"])
 
+    def test_vector_alias_request_matches_fast(
+        self, baseline_reply, capfd, monkeypatch
+    ):
+        """A request naming the retired ``vector`` engine is answered
+        like ``fast``.  The front end resolves the alias, so its notice
+        prints once for the daemon, not once per worker."""
+        import repro.sched.core as core
+
+        monkeypatch.setattr(core, "_alias_warned", False)
+        reply = _run_batch(_pooled_service(workers=2), options={"engine": "vector"})
+        assert [_entry_core(e) for e in reply["entries"]] == [
+            _entry_core(e) for e in baseline_reply["entries"]
+        ]
+        err = capfd.readouterr().err
+        assert err.count("engine 'vector' is deprecated") == 1, err
+
     def test_worker_crash_recovery_bit_identical(self, baseline_reply):
         # Satellite 4: a seeded FaultPlan kills a worker mid-request;
         # the reply must be bit-identical to the fault-free run, with
@@ -399,6 +415,26 @@ class TestHealthEndpoints:
             thread.join(timeout=5)
 
 
+    def test_vector_alias_daemon_is_ready(self, monkeypatch):
+        """A daemon asked for the retired ``vector`` engine runs ``fast``
+        and is ready; only a real native -> fast fallback is not."""
+        import repro.native
+        import repro.sched.core as core
+
+        monkeypatch.setattr(core, "_alias_warned", True)
+        ready, payload = SchedulingService(
+            options=SearchOptions(engine="vector")
+        ).readiness()
+        assert ready and payload["checks"]["engine"] is True
+
+        monkeypatch.setattr(repro.native, "native_available", lambda: False)
+        monkeypatch.setattr(core, "_native_fallback_warned", True)
+        ready, payload = SchedulingService(
+            options=SearchOptions(engine="native")
+        ).readiness()
+        assert not ready and payload["checks"]["engine"] is False
+
+
 class TestCacheQuarantine:
     def _prime(self, tmp_path):
         store = str(tmp_path / "store")
@@ -609,6 +645,40 @@ class TestGracefulDrain:
                 assert entry["completed"] or entry["degraded"]
             flushed = json.loads(stats.read_text())
             assert flushed["counters"]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+
+    def test_sigterm_as_soon_as_ready_file_appears(self, tmp_path):
+        """The drain handler is installed before the ready file is
+        written: a SIGTERM sent the moment the file exists still drains
+        the daemon and its worker pool and exits 0."""
+        import repro
+
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        ready = tmp_path / "ready.json"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.console", "serve",
+                "--port", "0", "--no-cache", "--workers", "1",
+                "--ready-file", str(ready),
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not ready.exists():
+                assert proc.poll() is None, proc.stdout.read().decode()
+                assert time.monotonic() < deadline, "daemon never became ready"
+                time.sleep(0.001)
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=60)
+            assert proc.returncode == 0, out.decode()
+            assert b"drained on SIGTERM" in out
         finally:
             if proc.poll() is None:
                 proc.kill()
