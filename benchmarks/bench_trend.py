@@ -11,7 +11,7 @@ perf gate: shared CI runners are far too noisy for speedup assertions,
 so the script always exits 0 once both files parse — correctness
 divergence is already a non-zero exit from ``repro bench`` itself.
 
-Engine-agnostic across payload schemas: ``repro-bench/2`` and ``/3``
+Engine-agnostic across payload schemas: ``repro-bench/2`` through ``/4``
 carry per-engine ``speedups`` dicts (whatever engines they name — the
 table is the union of baseline and fresh, so a new or renamed engine
 never raises); the oldest ``repro-bench/1`` had a single scalar

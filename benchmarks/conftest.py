@@ -14,13 +14,12 @@ so the numbers that matter survive in ``bench_output.txt``.
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
 from repro.experiments.parallel import run_population_parallel
-from repro.experiments.runner import DEFAULT_CURTAIL, PAPER_BLOCKS
+from repro.experiments.runner import DEFAULT_CURTAIL, env_workers, population_size
 
 #: Benchmark-default fraction of the paper's population.
 BENCH_SCALE = 1 / 40
@@ -29,8 +28,7 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 def bench_population_size() -> int:
-    scale = float(os.environ.get("REPRO_SCALE", BENCH_SCALE))
-    return max(1, round(PAPER_BLOCKS * scale))
+    return population_size(default_scale=BENCH_SCALE)
 
 
 @pytest.fixture(scope="session")
@@ -40,7 +38,7 @@ def population_records():
     ``REPRO_WORKERS`` fans the run out over a process pool (default 1,
     which takes the serial path — identical records either way).
     """
-    workers = max(1, int(os.environ.get("REPRO_WORKERS", "1") or "1"))
+    workers = env_workers(1)
     return run_population_parallel(
         bench_population_size(),
         curtail=DEFAULT_CURTAIL,

@@ -2,9 +2,10 @@
 
 The ROADMAP's north star is "as fast as the hardware allows"; this
 package is how the repository knows whether it is getting there.  It
-times the search engines (the flattened array core in
-:mod:`repro.sched.core` and its C port in :mod:`repro.native` against
-the recursive reference in :mod:`repro.sched.search`) over the
+times the two search engines (the native engine — the flattened
+preamble in :mod:`repro.sched.core` plus the C kernel in
+:mod:`repro.native` — against the recursive reference in
+:mod:`repro.sched.search`) over the
 synthetic population and the realistic kernels, asserts their results
 are bit-for-bit identical, certifies the native engine's schedules
 through the independent checker in

@@ -1,4 +1,4 @@
-"""``repro bench`` — time the three search engines, write ``BENCH_search.json``.
+"""``repro bench`` — time the two search engines, write ``BENCH_search.json``.
 
 Examples::
 
@@ -23,6 +23,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from ..experiments.runner import EnvError, population_size
 from ..ioutil import atomic_write_json
 from .hot_core import run_bench
 
@@ -33,9 +34,8 @@ def build_parser(prog: str = "repro-bench") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
         description=(
-            "Benchmark the fast and native search engines against "
-            "the reference (identical results enforced, schedules "
-            "certified)."
+            "Benchmark the native search engine against the reference "
+            "(identical results enforced, schedules certified)."
         ),
         parents=[
             common_flags(
@@ -194,6 +194,12 @@ def main(argv: Optional[Sequence[str]] = None, prog: str = "repro-bench") -> int
         print(f"{prog}: --chaos requires --service", file=sys.stderr)
         return 2
     args.out = args.out or "BENCH_search.json"
+    if args.blocks is None:
+        try:
+            args.blocks = population_size()
+        except EnvError as exc:
+            print(f"{prog}: error: {exc}", file=sys.stderr)
+            return 2
     try:
         payload, failures = run_bench(
             blocks=args.blocks,

@@ -1,26 +1,26 @@
-"""Three-engine search benchmark (the ``BENCH_search.json`` writer).
+"""Two-engine search benchmark (the ``BENCH_search.json`` writer).
 
 Measurement method
 ------------------
-Per block the three engines run back to back (fast, native, reference)
-and each call is timed individually; per-engine wall time is
-the sum of its own calls.  Interleaving makes the comparison robust
-against machine load drifting over the run — a bias that back-to-back
-*batches* are fully exposed to.  Every result triple is compared
-field by field (schedule, Ω calls, prune counts, completion flags —
-everything except wall time), and every native-engine schedule is
-certified through :mod:`repro.verify.certificate`, which shares no code
-with the schedulers.  A benchmark whose engines diverge is not a
-benchmark, so divergence and certification failures are fatal (non-zero
-exit from the CLI) while speedup itself is only reported, never
-asserted — perf assertions belong to the acceptance pipeline, not to a
-load-sensitive smoke job.
+Per block the two engines run back to back (native, reference) and
+each call is timed individually; per-engine wall time is the sum of its
+own calls.  Interleaving makes the comparison robust against machine
+load drifting over the run — a bias that back-to-back *batches* are
+fully exposed to.  Every result pair is compared field by field
+(schedule, Ω calls, prune counts, completion flags — everything except
+wall time), and every native-engine schedule is certified through
+:mod:`repro.verify.certificate`, which shares no code with the
+schedulers.  A benchmark whose engines diverge is not a benchmark, so
+divergence and certification failures are fatal (non-zero exit from
+the CLI) while speedup itself is only reported, never asserted — perf
+assertions belong to the acceptance pipeline, not to a load-sensitive
+smoke job.
 
 When no C compiler is found the "native" engine transparently degrades
-to a second "fast" run (one warning line on stderr); the payload still
-carries the column so downstream trend tooling keeps a stable shape,
-and ``config.env.cc`` is ``null`` so the run is honest about what was
-measured.
+to a second "reference" run (one warning line on stderr); the payload
+still carries the column so downstream trend tooling keeps a stable
+shape, and ``config.env.cc`` is ``null`` so the run is honest about
+what was measured.
 
 Suites
 ------
@@ -35,10 +35,10 @@ Suites
     speedup holds on real dependence structure, not just synthetic
     statistics.
 
-Schema (``repro-bench/3``)::
+Schema (``repro-bench/4``)::
 
     {
-      "schema": "repro-bench/3",
+      "schema": "repro-bench/4",
       "config": {
         "blocks": 2000, "master_seed": 1990, "curtail": 50000,
         "repeats": 25,
@@ -51,11 +51,10 @@ Schema (``repro-bench/3``)::
           "blocks": 1964,                    # non-empty blocks scheduled
           "omega_calls": 1449520,            # identical across engines
           "engines": {
-            "fast":      {"wall_seconds": 6.0, "omega_per_sec": 240000.0},
             "native":    {"wall_seconds": 1.6, "omega_per_sec": 905000.0},
             "reference": {"wall_seconds": 14.0, "omega_per_sec": 103000.0}
           },
-          "speedups": {"fast": 2.33, "native": 8.75},
+          "speedups": {"native": 8.75},
           "identical": true,                 # every result field matched
           "certified": 1964                  # schedules certificate-checked
         },
@@ -63,25 +62,25 @@ Schema (``repro-bench/3``)::
           "entries": [
             {"kernel": "dot4", "machine": "paper_simulation",
              "omega_calls": 123,
-             "seconds": {"fast": ..., "native": ..., "reference": ...},
-             "speedups": {"fast": ..., "native": ...},
+             "seconds": {"native": ..., "reference": ...},
+             "speedups": {"native": ...},
              "identical": true},
             ...
           ],
           "speedups": {...}                  # total ref / total engine
         }
       },
-      "summary": {"speedups": {"fast": 2.33, "native": 8.75},
+      "summary": {"speedups": {"native": 8.75},
                   "identical": true, "failures": []}
     }
 
 Schema history: ``repro-bench/1`` had two engines, a scalar ``speedup``
 field (reference/fast) and only ``config.python``; ``/2`` added the
 vector column, per-engine ``speedups`` and the ``config.env`` record;
-``/3`` adds the native column and ``config.env.cc`` (the discovered C
-compiler, or ``null`` when the native engine ran its fallback).  ``/3``
-payloads written since the vector engine was retired omit the vector
-column and ``config.env.numpy``.
+``/3`` added the native column and ``config.env.cc`` (the discovered C
+compiler, or ``null`` when the native engine ran its fallback), and its
+later payloads omit the retired vector column and ``config.env.numpy``;
+``/4`` drops the retired fast column, leaving native and reference.
 """
 
 from __future__ import annotations
@@ -107,12 +106,12 @@ from ..synth.kernels import KERNELS
 from ..synth.population import PopulationSpec, sample_population
 
 #: Version tag of the ``BENCH_search.json`` payload.
-SCHEMA = "repro-bench/3"
+SCHEMA = "repro-bench/4"
 
-#: Engines run per block in ``ENGINES`` order; "fast" is the comparison
-#: base for identity checks, "reference" the base for speedups.  These
-#: are compared field-by-field against "fast" per block.
-_TWINS = tuple(name for name in ENGINES if name != "fast")
+#: Engines run per block in ``ENGINES`` order; "reference" is the base
+#: for both the identity checks and the speedups.  These are compared
+#: field-by-field against "reference" per block.
+_TWINS = tuple(name for name in ENGINES if name != "reference")
 
 #: Deterministic presets the kernel suite runs on (name -> factory).
 KERNEL_MACHINES = (
@@ -231,17 +230,17 @@ def bench_population(
             t0 = perf()
             results[name] = schedule_block(dag, machine, options[name])
             seconds[name] += perf() - t0
-        fast = results["fast"]
-        omega += fast.omega_calls
+        ref = results["reference"]
+        omega += ref.omega_calls
         scheduled += 1
-        base = _result_fields(fast)
+        base = _result_fields(ref)
         for name in _TWINS:
             if _result_fields(results[name]) != base:
                 identical = False
                 failures.append(
-                    f"population block {index}: fast != {name} "
-                    f"(nops {fast.final_nops} vs {results[name].final_nops}, "
-                    f"omega {fast.omega_calls} vs "
+                    f"population block {index}: reference != {name} "
+                    f"(nops {ref.final_nops} vs {results[name].final_nops}, "
+                    f"omega {ref.omega_calls} vs "
                     f"{results[name].omega_calls})"
                 )
         if certify:
@@ -303,7 +302,7 @@ def bench_kernels(
                         dag, machine, options[name], assignment=assignment
                     )
                     seconds[name] += perf() - t0
-            base = _result_fields(results["fast"])
+            base = _result_fields(results["reference"])
             identical = all(
                 _result_fields(results[name]) == base for name in _TWINS
             )
@@ -324,7 +323,7 @@ def bench_kernels(
                     "kernel": kernel.name,
                     "machine": machine_name,
                     "instructions": len(dag),
-                    "omega_calls": results["fast"].omega_calls,
+                    "omega_calls": results["reference"].omega_calls,
                     "seconds": {
                         name: round(seconds[name], 5) for name in ENGINES
                     },
@@ -349,8 +348,8 @@ def run_bench(
     """Run every suite; returns ``(payload, failures)``.
 
     ``failures`` lists engine divergences and certificate rejections —
-    empty means the fast and native engines are (still)
-    bit-for-bit the reference.  ``blocks`` defaults to the ``REPRO_SCALE``-sized
+    empty means the native engine is (still) bit-for-bit the
+    reference.  ``blocks`` defaults to the ``REPRO_SCALE``-sized
     population (the same corpus the experiments schedule).
     """
     if blocks is None:

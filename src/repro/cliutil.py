@@ -34,11 +34,11 @@ COMMON_FLAGS: Dict[str, Tuple[tuple, dict]] = {
             # journals still run) but out of the help text.
             choices=ENGINES + tuple(ENGINE_ALIASES),
             metavar="{" + ",".join(ENGINES) + "}",
-            default="fast",
-            help="search engine: the flattened array core (fast), the "
-            "compiled C hot core (native; falls back to fast when no C "
-            "compiler is found) or the recursive reference — bit-for-bit "
-            "identical results",
+            default="native",
+            help="search engine: the compiled C hot core (native, the "
+            "default; falls back to reference when no C compiler is "
+            "found) or the recursive reference — bit-for-bit identical "
+            "results",
         ),
     ),
     "seed": (

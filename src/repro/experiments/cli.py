@@ -51,7 +51,7 @@ from . import (
     table7,
 )
 from .parallel import run_population_parallel
-from .runner import population_size
+from .runner import EnvError, env_workers, population_size
 
 #: Experiments that share the single population run.
 POPULATION_EXPERIMENTS = ("table7", "fig1", "fig4", "fig5", "fig6", "fig7")
@@ -180,13 +180,22 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-experiments") -> i
             parser.error(f"cannot write --stats-json {args.stats_json}: {exc}")
 
     if args.workers is None:
-        workers = int(os.environ.get("REPRO_WORKERS", "1") or "1")
+        try:
+            workers = env_workers(1)
+        except EnvError as exc:
+            parser.error(str(exc))
     elif args.workers == 0:
         workers = os.cpu_count() or 1
+    elif args.workers < 0:
+        parser.error("--workers must be >= 0")
     else:
         workers = args.workers
-    if workers < 1:
-        parser.error("--workers must be >= 0")
+    n_blocks = args.blocks
+    if n_blocks is None and any(w in POPULATION_EXPERIMENTS for w in wanted):
+        try:
+            n_blocks = population_size()
+        except EnvError as exc:
+            parser.error(str(exc))
 
     if args.journal and args.resume and args.journal != args.resume:
         parser.error("--journal and --resume must name the same file")
@@ -239,9 +248,6 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-experiments") -> i
 
     try:
         if any(w in POPULATION_EXPERIMENTS for w in wanted):
-            n_blocks = (
-                args.blocks if args.blocks is not None else population_size()
-            )
             done = None
             if journal_path:
                 # The fingerprint pins everything that shapes the records;

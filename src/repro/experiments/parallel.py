@@ -76,6 +76,7 @@ from .runner import (
     DEFAULT_CURTAIL,
     BlockRecord,
     VerificationError,
+    env_workers,
     list_seed_record,
     run_population,
     schedule_generated_block,
@@ -89,11 +90,12 @@ CHUNKS_PER_WORKER = 8
 
 
 def default_workers() -> int:
-    """Worker count: ``REPRO_WORKERS`` if set, else the machine's cores."""
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Worker count: ``REPRO_WORKERS`` if set, else the machine's cores.
+
+    Raises :class:`repro.experiments.runner.EnvError` when
+    ``REPRO_WORKERS`` is malformed or not positive.
+    """
+    return env_workers(os.cpu_count() or 1)
 
 
 def _corrupt_records(records: List[BlockRecord]) -> List[BlockRecord]:

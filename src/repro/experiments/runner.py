@@ -9,6 +9,14 @@ Scale: the paper schedules 16,000 blocks.  ``population_size()`` reads
 so benchmarks stay tractable in pure Python while ``REPRO_SCALE=1``
 reproduces the full run.  Results are shape-stable across scales.
 
+Environment knobs: ``REPRO_SCALE`` and ``REPRO_WORKERS`` (the worker
+count) are outside input, each parsed by one function here
+(:func:`env_scale`, :func:`env_workers`) that every caller uses.  An
+unset or empty variable means the caller's own default; a malformed or
+non-positive one raises :class:`EnvError` naming the variable — never a
+bare ``int()`` traceback, and never a value silently clamped into range
+(a run must not hide its scale).
+
 The serial pass lives here; ``repro.experiments.parallel`` fans the same
 per-block step (:func:`schedule_generated_block`) out over a process
 pool.  Both paths build records through the same function, which is what
@@ -17,6 +25,7 @@ makes the parallel engine's output bit-identical to the serial one.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -32,6 +41,7 @@ from ..resilience.budget import (
     STEP_SPLIT,
     BudgetManager,
 )
+from ..sched.core import resolve_engine
 from ..sched.list_scheduler import list_schedule, program_order
 from ..sched.nop_insertion import ScheduleTiming, compute_timing
 from ..sched.search import SearchOptions, SearchResult, schedule_block
@@ -54,10 +64,40 @@ PAPER_BLOCKS = 16_000
 DEFAULT_CURTAIL = 50_000
 
 
+class EnvError(ValueError):
+    """An environment knob holds a value the runner cannot use."""
+
+
+def _positive_env(name: str, parse, kind: str, default):
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        value = parse(raw)
+    except ValueError:
+        value = None
+    if value is None or not (math.isfinite(value) and value > 0):
+        raise EnvError(f"{name} must be a positive {kind}, got {raw!r}")
+    return value
+
+
+def env_scale(default: float) -> float:
+    """``REPRO_SCALE`` as a positive fraction of paper scale."""
+    return _positive_env("REPRO_SCALE", float, "number", default)
+
+
+def env_workers(default: int) -> int:
+    """``REPRO_WORKERS`` as a positive worker-process count."""
+    return _positive_env("REPRO_WORKERS", int, "integer", default)
+
+
 def population_size(default_scale: float = 0.125) -> int:
-    """Blocks to run, honouring the ``REPRO_SCALE`` environment knob."""
-    scale = float(os.environ.get("REPRO_SCALE", default_scale))
-    return max(1, round(PAPER_BLOCKS * scale))
+    """Blocks to run, honouring the ``REPRO_SCALE`` environment knob.
+
+    Raises :class:`EnvError` when ``REPRO_SCALE`` is malformed or not
+    positive.
+    """
+    return max(1, round(PAPER_BLOCKS * env_scale(default_scale)))
 
 
 @dataclass(frozen=True)
@@ -409,6 +449,12 @@ def run_population(
         machine = paper_simulation_machine()
     if options is None:
         options = SearchOptions(curtail=curtail)
+    # Resolve once per run, as run_population_parallel does in its
+    # parent: one notice and one ``search.engine_fallbacks`` count per
+    # run, however many blocks it schedules.
+    resolved = resolve_engine(options.engine, telemetry=telemetry)
+    if resolved != options.engine:
+        options = replace(options, engine=resolved)
     if budget is not None:
         budget.start()
     records: List[BlockRecord] = []

@@ -1,6 +1,6 @@
 """The ``backend="ilp"`` entry: certified NOP-minimization via ILP.
 
-:func:`run_ilp_search` is the ILP twin of ``sched.core.run_fast_search``:
+:func:`run_ilp_search` is the ILP twin of ``sched.core.run_native_search``:
 it lowers the block to the packed ``_Flat`` tables, copies them into the
 encoder's own :class:`~repro.ilp.encoder.ModelTables`, prices the seed
 and heuristic incumbents, builds one
@@ -69,7 +69,7 @@ def run_ilp_search(
 ) -> IlpSearchResult:
     """Everything ``schedule_block(backend="ilp")`` does after validation.
 
-    Mirrors ``run_fast_search``'s contract: ``seed`` is already
+    Mirrors ``run_native_search``'s contract: ``seed`` is already
     validated, ``start`` anchors ``elapsed_seconds``, and the caller
     records telemetry.  ``options`` contributes the seeding policy
     (``heuristic_seeds``) and ``time_limit``; the ILP budgets come from

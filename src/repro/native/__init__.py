@@ -1,11 +1,14 @@
 """``engine="native"``: the branch-and-bound hot core, compiled to C.
 
-This package holds the third search engine of the repository's engine
-lattice (``fast`` / ``native`` / ``reference``): a
-self-contained C99 port of the flattened DFS and windowed splitter in
-:mod:`repro.sched.core`, compiled at first use from the adjacent
-``kernel.c`` with the system C compiler and bound through ``ctypes`` —
-no new Python dependency.
+This package holds the default search engine of the repository's
+two-engine lattice (``native`` / ``reference``): a self-contained C99
+implementation of the DFS and windowed splitter that
+:mod:`repro.sched.search` and :mod:`repro.sched.splitting` spell out
+recursively, compiled at first use from the adjacent ``kernel.c`` with
+the system C compiler and bound through ``ctypes`` — no new Python
+dependency.  The Python side (:mod:`repro.sched.core`) lowers each block
+to the flat ``_Flat`` tables and runs the search preamble; the kernel
+runs the search.
 
 * :mod:`repro.native.build` — compiler discovery, the sha256-keyed
   on-disk build cache, atomic installs.
@@ -14,9 +17,9 @@ no new Python dependency.
   ``native_dfs``/``native_split`` entry points the scheduler dispatch
   calls.
 
-Results are bit-for-bit identical to every other engine (everything
-except wall time); without a C compiler the engine degrades to ``fast``
-with a one-line stderr notice (see
+Results are bit-for-bit identical to the reference engine (everything
+except wall time); without a C compiler the engine degrades to
+``reference`` with a one-line stderr notice (see
 :func:`repro.sched.core.resolve_engine`).
 """
 

@@ -188,7 +188,7 @@ def _zeros(count: int) -> array:
 
 
 # ---------------------------------------------------------------------
-# The DFS (drop-in for repro.sched.core._run_fast_dfs)
+# The DFS (the core loop of repro.sched.core.run_native_search)
 # ---------------------------------------------------------------------
 
 
@@ -205,14 +205,14 @@ def native_dfs(
     users: List[int],
     max_latency: int,
 ):
-    """Run the C DFS; same signature and contract as ``_run_fast_dfs``.
+    """Run the C DFS on the preamble's tables; returns a ``DfsOutcome``.
 
-    Every ``FastOutcome`` field is bit-for-bit what the Python fast DFS
-    would produce (the kernel mirrors it decision for decision); the
-    wall-clock deadline is forwarded as remaining seconds so the C side
-    measures against its own monotonic clock.
+    Every field is bit-for-bit what the reference ``rec()`` in
+    :mod:`repro.sched.search` produces (the kernel mirrors it decision
+    for decision); the wall-clock deadline is forwarded as remaining
+    seconds so the C side measures against its own monotonic clock.
     """
-    from ..sched.core import FastOutcome
+    from ..sched.core import DfsOutcome
     from ..sched.nop_insertion import ScheduleTiming
 
     lib = load_kernel()
@@ -308,7 +308,7 @@ def native_dfs(
         )
     else:
         best_timing = best
-    return FastOutcome(
+    return DfsOutcome(
         best=best_timing,
         omega_calls=int(stats[_ST_OMEGA]),
         improvements=int(stats[_ST_IMPROVEMENTS]),

@@ -4,7 +4,7 @@ The ``native`` engine ships as C *source*, not a binary wheel: the
 kernel is compiled at first use with whatever C compiler the host
 already has, cached on disk, and loaded through ``ctypes`` — no new
 Python dependency, no build step at install time, and a clean fallback
-to the ``fast`` engine when no compiler exists (see
+to the ``reference`` engine when no compiler exists (see
 ``repro.sched.core.resolve_engine``).
 
 Compiler discovery
@@ -66,7 +66,7 @@ class NativeBuildError(RuntimeError):
     """The native kernel could not be compiled or loaded.
 
     Carries a human-readable reason; callers turn it into the one-line
-    ``native`` -> ``fast`` fallback notice rather than propagating.
+    ``native`` -> ``reference`` fallback notice rather than propagating.
     """
 
 

@@ -1,21 +1,40 @@
 /* Native hot core of the branch-and-bound searches (engine="native").
  *
- * A C port of the two flattened search loops in repro/sched/core.py:
+ * The C implementation of the two search loops whose readable
+ * specification is the recursive reference engine in Python:
  *
- *   repro_dfs   <-> _run_fast_dfs    (the pruned DFS of schedule_block)
- *   repro_split <-> run_fast_split   (the windowed search of
- *                                     schedule_block_split)
+ *   repro_dfs   <-> rec() in repro/sched/search.py
+ *                   (the pruned DFS of schedule_block)
+ *   repro_split <-> _schedule_window in repro/sched/splitting.py
+ *                   (the windowed search of schedule_block_split)
  *
- * The contract is the repository-wide engine lattice: every decision --
- * candidate order, all five prunes, the dominance-memo FIFO policy, the
- * curtail/deadline checks, the Omega-call accounting -- is made in the
- * same order on the same integers as the Python fast engine, so every
+ * The inputs are the flat tables of repro/sched/core.py (_Flat: dense
+ * instruction index = position in dag.idents, dense pipeline index =
+ * rank of the pipeline ident) plus what the shared Python preamble
+ * (run_native_search) already computed: the incumbent after seed
+ * pricing and the heuristic seeds, the latency chains and the pending
+ * pipeline users.
+ *
+ * The contract is the repository's two-engine lattice: every decision
+ * -- candidate order, all five prunes, the dominance-memo FIFO policy,
+ * the curtail/deadline checks, the Omega-call accounting -- is made in
+ * the same order on the same integers as the reference engine, so every
  * output (schedule, counters, flags) is bit-for-bit identical.  Only
  * the representation differs:
  *
- *   - ready/scheduled sets are multiword uint64 bitsets instead of
- *     Python's arbitrary-precision ints (iterated lowest-bit-first,
- *     matching the scalar scan);
+ *   - the recursion is an explicit stack of candidate frames with
+ *     in-place do/undo of the timing state: every push of instruction
+ *     k appends to order/etas, writes issue[k], adds to the running
+ *     NOP total and saves the clobbered per-pipeline last issue; the
+ *     matching pop restores them in reverse.  A node's candidate list
+ *     (and each candidate's eta) is computed once, at node entry --
+ *     between two siblings the state is fully restored, so the cached
+ *     eta equals what the reference recomputes at push time;
+ *   - ready/scheduled sets are multiword uint64 bitsets (iterated
+ *     lowest-bit-first) instead of the reference's ready lists and
+ *     arbitrary-precision scheduled masks; the dense relabeling is a
+ *     bijection, so every memo/equivalence key partitions exactly like
+ *     the reference's;
  *   - the dominance memo is a chained hash table plus an
  *     insertion-order list, replicating dict semantics exactly: lookup
  *     by full serialized key, overwrite-in-place keeps insertion
@@ -105,8 +124,8 @@ static inline int bs_escapes(const u64 *succ_row, const u64 *mask, i64 W) {
 
 /* ------------------------------------------------------------------ */
 /* Candidates: (eta, seed position, dense index) triples, ordered      */
-/* exactly like the Python tuples -- seed positions are unique, so the */
-/* (eta, seed) order is total and stability is irrelevant.             */
+/* exactly like the reference's sort keys -- seed positions are unique, */
+/* so the (eta, seed) order is total and stability is irrelevant.      */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
@@ -372,7 +391,7 @@ enum {
     ST_LEN
 };
 
-/* The pruned DFS of schedule_block (mirror of _run_fast_dfs).
+/* The pruned DFS of schedule_block (mirror of the reference rec()).
  *
  * CSR pairs (xxx_off has n+1 entries) carry the dense predecessor,
  * successor and register-operand lists.  pipe_last0/var_bound use the
@@ -851,7 +870,7 @@ cleanup:
 }
 
 /* ------------------------------------------------------------------ */
-/* Windowed split search (mirror of run_fast_split).                   */
+/* Windowed split search (mirror of the reference _schedule_window).   */
 /* ------------------------------------------------------------------ */
 
 /* Shared flat timing state, carried across windows. */

@@ -20,9 +20,10 @@ that story:
 
 Note on the engine switch: :func:`schedule_block_multi` runs its own
 joint order-and-assignment search and never calls ``schedule_block``,
-so ``SearchOptions.engine`` does not apply here.  The flattened array
-core (:mod:`repro.sched.core`) accelerates the fixed-assignment search
-only; multi-pipeline selection always uses this recursive search.
+so ``SearchOptions.engine`` does not apply here.  The native engine
+(:mod:`repro.sched.core`, :mod:`repro.native`) accelerates the
+fixed-assignment search only; multi-pipeline selection always uses this
+recursive search.
 """
 
 from __future__ import annotations

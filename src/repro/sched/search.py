@@ -84,12 +84,7 @@ from ..ir.dag import DependenceDAG
 from ..ir.loop import LoopBlock
 from ..machine.machine import MachineDescription
 from ..telemetry import Telemetry, prune_counts
-from .core import (
-    check_engine,
-    resolve_engine,
-    run_fast_search,
-    run_native_search,
-)
+from .core import check_engine, resolve_engine, run_native_search
 from .heuristics import greedy_schedule, gross_schedule
 from .list_scheduler import list_schedule, program_order
 from .nop_insertion import (
@@ -137,18 +132,17 @@ class SearchOptions:
     #: (default) assumes "always enough registers", as the paper's
     #: simulations do.
     max_live: Optional[int] = None
-    #: Which DFS implementation runs the search: ``"fast"`` (the flattened
-    #: array engine in ``repro.sched.core`` — bitmask ready sets, explicit
-    #: stack, in-place do/undo), ``"native"`` (the same DFS compiled to C
-    #: in ``repro.native`` and bound through ctypes; degrades to
-    #: ``"fast"`` with a one-line notice when no C compiler is available)
-    #: or ``"reference"`` (the readable recursive formulation below).
-    #: All three are bit-for-bit identical in every ``SearchResult``
-    #: field except ``elapsed_seconds``; the reference is kept for
-    #: ablation and differential testing.  The retired name ``"vector"``
-    #: is still accepted and runs ``"fast"`` (see
+    #: Which of the two engines runs the search: ``"native"`` (the
+    #: default: the DFS compiled to C in ``repro.native`` behind the
+    #: flattened preamble of ``repro.sched.core``; degrades to
+    #: ``"reference"`` with a one-line notice when no C compiler is
+    #: available) or ``"reference"`` (the readable recursive formulation
+    #: below, the specification the native kernel mirrors).  Both are
+    #: bit-for-bit identical in every ``SearchResult`` field except
+    #: ``elapsed_seconds``.  The retired names ``"fast"`` and
+    #: ``"vector"`` are still accepted and run ``"native"`` (see
     #: :func:`repro.sched.core.resolve_engine`).
-    engine: str = "fast"
+    engine: str = "native"
 
     def __post_init__(self) -> None:
         if self.curtail < 1:
@@ -429,11 +423,11 @@ def schedule_block(
         Optional :class:`repro.telemetry.Telemetry` registry; the
         search's prune counters and wall time are folded into it.
     engine:
-        ``"fast"``, ``"native"`` or ``"reference"``; overrides
-        ``options.engine``.  All engines return bit-for-bit identical
-        results (everything except ``elapsed_seconds``); ``"native"``
-        degrades to ``"fast"`` when no C compiler is available (a
-        one-line stderr notice, once per process).  See
+        ``"native"`` or ``"reference"``; overrides ``options.engine``.
+        Both engines return bit-for-bit identical results (everything
+        except ``elapsed_seconds``); ``"native"`` degrades to
+        ``"reference"`` when no C compiler is available (a one-line
+        stderr notice, once per process).  See
         :mod:`repro.sched.core` and :mod:`repro.native`.
     backend:
         ``"search"`` (this module's branch-and-bound over orders) or
@@ -559,19 +553,12 @@ def schedule_block(
         )
 
     # ------------------------------------------------------------------
-    # Engine dispatch: from here on the flattened array engine and the
-    # recursive reference below run the *same* search — identical seed
-    # pricing, incumbents, candidate order, prune decisions, Ω accounting
-    # and memo policy — so every field of the result except
-    # elapsed_seconds is bit-for-bit equal.
+    # Engine dispatch: from here on the native engine and the recursive
+    # reference below run the *same* search — identical seed pricing,
+    # incumbents, candidate order, prune decisions, Ω accounting and
+    # memo policy — so every field of the result except elapsed_seconds
+    # is bit-for-bit equal.
     # ------------------------------------------------------------------
-    if engine_name == "fast":
-        return _done(
-            run_fast_search(
-                dag, machine, resolver, options, initial, seed,
-                fits_budget, start,
-            )
-        )
     if engine_name == "native":
         return _done(
             run_native_search(

@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription
 from ..telemetry import Telemetry, prune_counts
-from .core import resolve_engine, run_fast_split, run_native_split
+from .core import resolve_engine, run_native_split
 from .list_scheduler import list_schedule
 from .nop_insertion import (
     IncrementalTimingState,
@@ -73,7 +73,7 @@ def schedule_block_split(
     seed: Optional[Sequence[int]] = None,
     initial_conditions: Optional[InitialConditions] = None,
     telemetry: Optional[Telemetry] = None,
-    engine: str = "fast",
+    engine: str = "native",
 ) -> SplitScheduleResult:
     """Schedule a block window-by-window, each window locally optimal.
 
@@ -84,13 +84,13 @@ def schedule_block_split(
     curtail_per_window:
         Curtail point applied to each window's search independently.
     engine:
-        ``"fast"`` runs the windows on the flattened array engine in
-        :mod:`repro.sched.core`; ``"native"`` runs them on the compiled
-        C kernel in :mod:`repro.native` (degrading to ``"fast"`` with a
+        ``"native"`` runs the windows on the compiled C kernel in
+        :mod:`repro.native` (degrading to ``"reference"`` with a
         one-line notice when no C compiler is available);
         ``"reference"`` runs the recursive formulation below.  Results
         are bit-for-bit identical (everything except
-        ``elapsed_seconds``).
+        ``elapsed_seconds``).  An empty block always takes the
+        reference path: there is nothing to schedule.
     """
     if window < 1:
         raise ValueError("window must be at least 1 instruction")
@@ -104,9 +104,8 @@ def schedule_block_split(
 
     resolver = SigmaResolver(dag, machine, assignment)
 
-    if engine != "reference":
-        run_split = run_native_split if engine == "native" else run_fast_split
-        timing, windows, omega_calls, all_completed, totals = run_split(
+    if engine == "native" and len(dag) > 0:
+        timing, windows, omega_calls, all_completed, totals = run_native_split(
             dag, machine, resolver, seed, window,
             curtail_per_window, initial_conditions,
         )

@@ -11,13 +11,13 @@ result cache (:mod:`repro.service.cache`) can serve one's solved
 
 Canonical form
 --------------
-The key is built from the same dense lowering the fast engine uses
+The key is built from the same dense lowering the native engine uses
 (:class:`repro.sched.core._Flat`):
 
 * **Instructions** are named by position in ``dag.idents`` (program
   order).  The search itself is covariant under ident renaming: the
   list-schedule seed tie-breaks on positions/heights/descendant counts,
-  and the fast engine keys every mask, memo entry and candidate sort on
+  and the native engine keys every mask, memo entry and candidate sort on
   dense indices — so any two blocks with equal flat tables behave
   identically, Ω accounting and prune counts included.
 * **Pipelines** are named by a *label-free* signature sort: each dense
@@ -36,11 +36,11 @@ The key is built from the same dense lowering the fast engine uses
   additionally depends on which *values* each tuple consumes; the dense
   value-reference sets and produces-a-value flags are folded in exactly
   then.
-* **Options** participate minus ``engine``: all three engines (fast,
-  native, reference) and the retired ``vector`` alias of fast are
-  bit-for-bit identical in every field the cache stores, so they share
-  entries — a result solved under one engine is served to requests
-  arriving under any other.
+* **Options** participate minus ``engine``: the two engines (native,
+  reference) and the retired ``fast`` and ``vector`` aliases of native
+  are bit-for-bit identical in every field the cache stores, so they
+  share entries — a result solved under one engine name is served to
+  requests arriving under any other.
 
 The fingerprint deliberately does **not** try to canonicalize away the
 program order itself (graph canonization): blocks that differ by a
@@ -75,8 +75,8 @@ __all__ = ["CanonicalForm", "fingerprint_problem", "canonical_payload"]
 CANON_VERSION = "repro-canon/1"
 
 #: ``SearchOptions`` fields that shape the search outcome and therefore
-#: the key.  ``engine`` is excluded on purpose: the fast, native and
-#: reference engines are bit-for-bit identical in every stored field.
+#: the key.  ``engine`` is excluded on purpose: the native and reference
+#: engines are bit-for-bit identical in every stored field.
 _OPTION_FIELDS = (
     "curtail",
     "alpha_beta",

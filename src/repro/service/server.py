@@ -20,7 +20,7 @@ Wire protocol (versioned ``repro-service/2``; see docs/file-formats.md —
       "schema": "repro-service/2",
       "machine": "paper-simulation" | {machine_to_dict payload},
       "blocks": [{"name": "dot", "tuples": "1: Load #a\\n..."}, ...],
-      "options": {"curtail": 50000, "engine": "fast", "max_live": null},
+      "options": {"curtail": 50000, "engine": "native", "max_live": null},
       "deadline": 2.5
     }
 
@@ -567,8 +567,8 @@ class SchedulingService:
             "accepting": not self._draining,
             "workers": self.pool is None or self.pool.alive_workers() > 0,
             "store": self._store_writable(),
-            # Not ready only on a real fallback (native -> fast), not
-            # for a retired alias such as "vector".
+            # Not ready only on a real fallback (native -> reference),
+            # not for a retired alias such as "fast" or "vector".
             "engine": resolve_engine(self.options.engine)
             == check_engine(self.options.engine),
         }

@@ -11,7 +11,7 @@ exhaustive enumerations, then:
 * asserts the invariant lattice between the results::
 
       brute == exhaustive == search  <=  split            (search complete)
-                   native == fast == reference            (bit for bit,
+                        native == reference            (bit for bit,
                                        engines            no time limit)
                               search <=  list             (always)
                               multi  <=  pinned search    (always)
@@ -276,10 +276,11 @@ def check_block(
         schedules["search"]["lower_bound"] = int(bound)
         schedules["search"]["optimality_gap"] = int(search.final_nops - bound)
 
-    # Twin-engine runs: whichever engine `options` selects, the other
-    # two must reproduce it bit for bit (checked in the lattice below);
-    # without a C compiler the "native" twin degrades to a second "fast"
-    # run, which keeps the check sound (identical, just not independent).
+    # Twin-engine run: whichever engine `options` selects, the other one
+    # must reproduce it bit for bit (checked in the lattice below);
+    # without a C compiler the "native" side degrades to a second
+    # "reference" run, which keeps the check sound (identical, just not
+    # independent).
     # Skipped under a wall-clock deadline, where the truncation point
     # legitimately depends on the engine's speed.
     twins: List[Tuple[str, object]] = []
@@ -364,7 +365,7 @@ def check_block(
             and twin.proved_by_bound == search.proved_by_bound
             and twin.memo_evicted == search.memo_evicted
             and dict(twin.prune_counts) == dict(search.prune_counts),
-            "native==fast==reference",
+            "native==reference",
             f"engines diverge: {search.final_nops} NOPs / "
             f"{search.omega_calls} omega calls ({options.engine}) vs "
             f"{twin.final_nops} / {twin.omega_calls} ({twin_engine})",

@@ -51,7 +51,7 @@ class TestExecution:
 
     def test_vector_journal_resumes(self, tmp_path, monkeypatch, capsys):
         """A journal written under the retired ``--engine vector`` still
-        resumes under it, and both runs render exactly like ``fast``."""
+        resumes under it, and both runs render exactly like ``native``."""
         journal = str(tmp_path / "run.journal")
         args = ["table7", "--blocks", "12", "--curtail", "4000"]
 
@@ -65,9 +65,9 @@ class TestExecution:
                 and "resuming" not in line
             ]
 
-        assert main(args + ["--engine", "fast"]) == 0
-        fast = table(capsys.readouterr().out)
-        monkeypatch.setattr(core, "_alias_warned", False)
+        assert main(args + ["--engine", "native"]) == 0
+        native = table(capsys.readouterr().out)
+        monkeypatch.setattr(core, "_alias_warned", set())
         assert main(args + ["--engine", "vector", "--journal", journal]) == 0
         first = capsys.readouterr()
         # Keep the header and five records, as if the run had died.
@@ -77,8 +77,8 @@ class TestExecution:
             fh.writelines(lines[:6])
         assert main(args + ["--engine", "vector", "--resume", journal]) == 0
         resumed = capsys.readouterr()
-        assert table(first.out) == fast
+        assert table(first.out) == native
         assert "resuming: 5 of 12 blocks recovered" in resumed.out
-        assert table(resumed.out) == fast
+        assert table(resumed.out) == native
         notices = first.err + resumed.err
         assert notices.count("engine 'vector' is deprecated") == 1, notices

@@ -17,7 +17,15 @@ from repro.experiments import (
     table1,
     table7,
 )
-from repro.experiments.runner import bucket_by_size, mean, population_size, run_population
+from repro.experiments.cli import main as experiments_main
+from repro.experiments.parallel import default_workers
+from repro.experiments.runner import (
+    EnvError,
+    bucket_by_size,
+    mean,
+    population_size,
+    run_population,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +53,55 @@ class TestRunner:
         assert population_size() == 160
         monkeypatch.delenv("REPRO_SCALE")
         assert population_size(default_scale=1.0) == 16_000
+
+    def test_bad_env_is_rejected_in_library_calls(self, monkeypatch):
+        # One parser per variable: population_size() and
+        # default_workers() reject exactly what the CLI rejects.
+        for name, value in (
+            ("REPRO_SCALE", "abc"),
+            ("REPRO_SCALE", "-1"),
+            ("REPRO_SCALE", "0"),
+            ("REPRO_SCALE", "nan"),
+            ("REPRO_WORKERS", "abc"),
+            ("REPRO_WORKERS", "-3"),
+            ("REPRO_WORKERS", "0"),
+            ("REPRO_WORKERS", "2.5"),
+        ):
+            monkeypatch.setenv(name, value)
+            call = population_size if name == "REPRO_SCALE" else default_workers
+            with pytest.raises(EnvError, match=name):
+                call()
+            monkeypatch.delenv(name)
+        monkeypatch.setenv("REPRO_WORKERS", "")
+        assert default_workers() >= 1  # empty means unset
+
+    @pytest.mark.parametrize(
+        "name, value, argv",
+        [
+            ("REPRO_WORKERS", "abc", ["table1"]),
+            ("REPRO_WORKERS", "-3", ["table1"]),
+            ("REPRO_SCALE", "abc", ["table7"]),
+            ("REPRO_SCALE", "-1", ["table7"]),
+        ],
+    )
+    def test_bad_env_is_a_clean_cli_error(
+        self, monkeypatch, capsys, name, value, argv
+    ):
+        """Outside input in the environment exits 2 with a message that
+        names the variable: no traceback, no blame on a flag that was
+        never given, and no scale silently clamped to one block."""
+        monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exc:
+            experiments_main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        error = captured.err.strip().splitlines()[-1]
+        assert error == (
+            f"repro-experiments: error: {name} must be a positive "
+            f"{'integer' if name == 'REPRO_WORKERS' else 'number'}, "
+            f"got {value!r}"
+        )
+        assert "[population]" not in captured.out
 
     def test_bucket_by_size(self, records):
         buckets = bucket_by_size(records, bucket=5)

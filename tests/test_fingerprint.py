@@ -108,7 +108,7 @@ class TestIsomorphismCollides:
 
     def test_engine_is_excluded(self, figure3_dag):
         machine = paper_simulation_machine()
-        assert _key(figure3_dag, machine, SearchOptions(engine="fast")) == _key(
+        assert _key(figure3_dag, machine, SearchOptions(engine="native")) == _key(
             figure3_dag, machine, SearchOptions(engine="reference")
         )
 

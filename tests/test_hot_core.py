@@ -1,42 +1,47 @@
-"""The flattened hot core (`repro.sched.core`) against the reference engine.
+"""The native engine (`repro.sched.core` + C kernel) against the reference.
 
-The fast and native engines' contract is *bit-for-bit* equality with
-the recursive reference — every ``SearchResult`` field except wall
-time.  These tests pin that contract:
+The native engine's contract is *bit-for-bit* equality with the
+recursive reference — every ``SearchResult`` field except wall time.
+These tests pin that contract:
 
 * differential fuzzing (hypothesis blocks x random + adversarial
-  machines) over every engine pair, with each engine's schedule
-  re-derived through the independent certificate checker;
+  machines) over the engine pair, with the native schedule re-derived
+  through the independent certificate checker;
 * the degradation paths: dominance-memo eviction under a tiny
   ``max_memo_entries``, curtail, and wall-clock deadlines (including the
-  ``BlockRecord.degraded`` path the experiments publish) — under all
-  three engines;
+  ``BlockRecord.degraded`` path the experiments publish) — under both
+  engines;
 * carry-in conditions and the windowed splitter on large blocks;
 * the engine switch itself (options validation, per-call override, the
-  split scheduler's engine parameter, the retired ``vector`` alias).
+  split scheduler's engine parameter, the retired ``fast`` and
+  ``vector`` aliases on every entry point).
 """
 
 import pytest
 from hypothesis import given, settings
 
 import repro.sched.core as core
+from repro.experiments.cli import main as experiments_main
 from repro.experiments.runner import schedule_generated_block
+from repro.ir.block import BasicBlock
 from repro.ir.dag import DependenceDAG
+from repro.ir.textual import format_block
 from repro.machine.presets import get_machine
 from repro.sched.multi import first_pipeline_assignment
 from repro.sched.nop_insertion import InitialConditions
 from repro.sched.search import ScheduleRequest, SearchOptions, schedule_block
 from repro.sched.splitting import schedule_block_split
+from repro.service.server import SCHEMA, SchedulingService
 from repro.synth.population import PopulationSpec, sample_population
 from repro.telemetry import Telemetry
 from repro.verify.certificate import check_schedule
 
 from .strategies import any_machines, blocks
 
-#: The full engine lattice: every member must agree with every other in
-#: all ``SearchResult`` fields except ``elapsed_seconds``.  "native" is
-#: exercised even without a C compiler — it then runs its documented
-#: fallback to "fast", which must preserve the same contract.
+#: The engine lattice: both members must agree in all ``SearchResult``
+#: fields except ``elapsed_seconds``.  "native" is exercised even without
+#: a C compiler — it then runs its documented fallback to "reference",
+#: which must preserve the same contract.
 ENGINES = core.ENGINES
 
 
@@ -63,8 +68,19 @@ def _fields(result):
     )
 
 
+def _split_fields(result):
+    """Everything a ``SplitScheduleResult`` carries except wall time."""
+    return (
+        result.timing,
+        result.windows,
+        result.omega_calls,
+        result.all_windows_completed,
+        dict(result.prune_counts),
+    )
+
+
 def _run_all(dag, machine, options, assignment=None, **kwargs):
-    """Run every engine; assert pairwise bit-for-bit equality."""
+    """Run both engines; assert bit-for-bit equality; return native's."""
     results = {
         name: schedule_block(
             dag, machine, options, assignment=assignment, engine=name,
@@ -72,15 +88,8 @@ def _run_all(dag, machine, options, assignment=None, **kwargs):
         )
         for name in ENGINES
     }
-    reference = _fields(results["reference"])
-    for name in ("fast", "native"):
-        assert _fields(results[name]) == reference, f"{name} != reference"
-    return results["fast"]
-
-
-# Backwards-compatible alias used throughout this module; now checks the
-# whole lattice, not just fast-vs-reference.
-_run_both = _run_all
+    assert _fields(results["native"]) == _fields(results["reference"])
+    return results["native"]
 
 
 # ----------------------------------------------------------------------
@@ -90,15 +99,15 @@ _run_both = _run_all
 @given(block=blocks(max_size=9), machine=any_machines())
 def test_fast_engine_matches_reference(block, machine):
     """Random blocks x (random + adversarial) machines: identical results
-    and a valid certificate for the fast engine's schedule."""
+    and a valid certificate for the native engine's schedule."""
     dag = DependenceDAG(block)
     assignment = _assignment_for(dag, machine)
-    fast = _run_both(dag, machine, SearchOptions(), assignment=assignment)
+    nat = _run_all(dag, machine, SearchOptions(), assignment=assignment)
     cert = check_schedule(
         block,
         machine,
-        fast.best.order,
-        fast.best.etas,
+        nat.best.order,
+        nat.best.etas,
         assignment=assignment,
     )
     assert cert.ok, cert.summary()
@@ -110,7 +119,7 @@ def test_fast_engine_matches_reference_paper_prunes(block, machine):
     """The published prune set (no dominance/lower-bound prunes, no
     heuristic seeding) exercises different engine paths — same contract."""
     dag = DependenceDAG(block)
-    _run_both(
+    _run_all(
         dag,
         machine,
         SearchOptions.paper(),
@@ -126,18 +135,14 @@ def _population(n_blocks, seed=7):
 
 
 def test_split_engines_match():
-    """Window-by-window scheduling: all engines agree on every field."""
+    """Window-by-window scheduling: both engines agree on every field
+    (the empty block included, which native routes to the reference)."""
     machine, members = _population(30)
-    for gb in members:
-        dag = DependenceDAG(gb.block)
+    for block in [BasicBlock([])] + [gb.block for gb in members]:
+        dag = DependenceDAG(block)
         ref = schedule_block_split(dag, machine, window=5, engine="reference")
-        for name in ("fast", "native"):
-            got = schedule_block_split(dag, machine, window=5, engine=name)
-            assert got.timing == ref.timing
-            assert got.omega_calls == ref.omega_calls
-            assert got.windows == ref.windows
-            assert got.all_windows_completed == ref.all_windows_completed
-            assert dict(got.prune_counts) == dict(ref.prune_counts)
+        got = schedule_block_split(dag, machine, window=5, engine="native")
+        assert _split_fields(got) == _split_fields(ref)
 
 
 # ----------------------------------------------------------------------
@@ -154,19 +159,17 @@ def test_memo_eviction_degrades_gracefully():
     evicted_anywhere = False
     for gb in members:
         dag = DependenceDAG(gb.block)
-        fast = schedule_block(
-            dag, machine, options, telemetry=telemetry, engine="fast"
+        nat = schedule_block(
+            dag, machine, options, telemetry=telemetry, engine="native"
         )
         ref = schedule_block(dag, machine, options, engine="reference")
-        nat = schedule_block(dag, machine, options, engine="native")
-        assert _fields(fast) == _fields(ref)
         assert _fields(nat) == _fields(ref)
-        evicted_anywhere = evicted_anywhere or fast.memo_evicted > 0
+        evicted_anywhere = evicted_anywhere or nat.memo_evicted > 0
         # A starved memo may only cost omega calls, never quality.
-        full = schedule_block(dag, machine, baseline, engine="fast")
-        assert fast.completed and full.completed
-        assert fast.final_nops == full.final_nops
-        assert fast.omega_calls >= full.omega_calls
+        full = schedule_block(dag, machine, baseline, engine="native")
+        assert nat.completed and full.completed
+        assert nat.final_nops == full.final_nops
+        assert nat.omega_calls >= full.omega_calls
     assert evicted_anywhere, "population never overflowed a 4-entry memo"
     assert telemetry.counters["search.memo_evicted"] > 0
 
@@ -178,8 +181,7 @@ def test_memo_disabled_entirely():
     options = SearchOptions(max_memo_entries=0)
     for gb in members[:8]:
         dag = DependenceDAG(gb.block)
-        fast = _run_both(dag, machine, options)
-        assert fast.completed
+        assert _run_all(dag, machine, options).completed
 
 
 # ----------------------------------------------------------------------
@@ -192,24 +194,24 @@ def test_curtail_honored_by_fast_engine():
     saw_truncation = False
     for gb in members:
         dag = DependenceDAG(gb.block)
-        fast = _run_both(dag, machine, options)
-        assert fast.omega_calls <= len(dag) * 3 + 1
-        saw_truncation = saw_truncation or not fast.completed
+        nat = _run_all(dag, machine, options)
+        assert nat.omega_calls <= len(dag) * 3 + 1
+        saw_truncation = saw_truncation or not nat.completed
     assert saw_truncation, "curtail=1 never truncated a search"
 
 
 def test_time_limit_honored_by_fast_engine():
-    """A vanishing deadline stops the fast engine immediately and
-    marks the result ``timed_out`` (never ``completed``)."""
+    """A vanishing deadline stops both engines immediately and marks
+    the result ``timed_out`` (never ``completed``)."""
     machine, members = _population(40, seed=5)
     options = SearchOptions(time_limit=1e-9)
     saw_timeout = False
     for gb in members:
         dag = DependenceDAG(gb.block)
-        fast = _run_both(dag, machine, options)
-        if fast.timed_out:
+        nat = _run_all(dag, machine, options)
+        if nat.timed_out:
             saw_timeout = True
-            assert not fast.completed
+            assert not nat.completed
     assert saw_timeout, "a 1ns time limit never expired a search"
 
 
@@ -224,7 +226,7 @@ def test_block_timeout_degrades_block_record():
             index,
             gb,
             machine,
-            SearchOptions(engine="fast"),
+            SearchOptions(engine="native"),
             telemetry=telemetry,
             block_timeout=1e-9,
         )
@@ -243,7 +245,9 @@ def test_block_timeout_degrades_block_record():
 def test_engine_option_validation():
     with pytest.raises(ValueError, match="unknown search engine"):
         SearchOptions(engine="turbo")
-    assert SearchOptions(engine="vector").engine == "vector"
+    assert SearchOptions().engine == "native"
+    for alias in core.ENGINE_ALIASES:
+        assert SearchOptions(engine=alias).engine == alias
     machine, members = _population(3, seed=1)
     dag = DependenceDAG(members[0].block)
     with pytest.raises(ValueError, match="unknown search engine"):
@@ -257,40 +261,86 @@ def test_engine_override_beats_options():
     machine, members = _population(5, seed=2)
     dag = DependenceDAG(members[0].block)
     options = SearchOptions(engine="reference")
-    fast = schedule_block(dag, machine, options, engine="fast")
+    nat = schedule_block(dag, machine, options, engine="native")
     ref = schedule_block(dag, machine, options)
-    assert _fields(fast) == _fields(ref)
+    assert _fields(nat) == _fields(ref)
 
 
-def test_vector_alias_runs_fast(monkeypatch, capsys):
-    """The retired ``vector`` name stays accepted on every entry point
-    and answers exactly like ``fast``, after one notice per process."""
+def test_engine_aliases_run_native(tmp_path, monkeypatch, capsys):
+    """The retired ``fast`` and ``vector`` names stay accepted on every
+    entry point — options, ``engine=``, ``ScheduleRequest``, the split,
+    a ``--engine fast`` journal resume and a ``{"engine": "fast"}``
+    service request — and answer exactly like ``native``.  One process
+    naming both prints exactly one notice for each alias."""
     machine, members = _population(6, seed=21)
     dag = DependenceDAG(members[0].block)
-    fast = _fields(schedule_block(dag, machine, SearchOptions(), engine="fast"))
-    split_fast = schedule_block_split(dag, machine, window=4, engine="fast")
-    monkeypatch.setattr(core, "_alias_warned", False)
-    via_options = schedule_block(dag, machine, SearchOptions(engine="vector"))
-    via_override = schedule_block(dag, machine, SearchOptions(), engine="vector")
-    via_request = schedule_block(
-        ScheduleRequest(dag, machine, engine="vector")
+    native = _fields(schedule_block(dag, machine, SearchOptions()))
+    split_native = _split_fields(schedule_block_split(dag, machine, window=4))
+    journal = str(tmp_path / "run.journal")
+    args = ["table7", "--blocks", "12", "--curtail", "4000"]
+
+    def table(out):
+        # Everything but the wall time and the journal bookkeeping.
+        return [
+            line
+            for line in out.splitlines()
+            if "done in" not in line
+            and not line.startswith("[journal]")
+            and "resuming" not in line
+        ]
+
+    assert experiments_main(args + ["--engine", "native"]) == 0
+    native_table = table(capsys.readouterr().out)
+    service = SchedulingService(options=SearchOptions(curtail=4000))
+    request = {
+        "schema": SCHEMA,
+        "machine": "paper-simulation",
+        "blocks": [
+            {"name": f"b{i}", "tuples": format_block(gb.block)}
+            for i, gb in enumerate(members)
+        ],
+    }
+    native_reply = service.schedule_batch(request)
+
+    monkeypatch.setattr(core, "_alias_warned", set())
+    for alias in ("vector", "fast"):
+        for result in (
+            schedule_block(dag, machine, SearchOptions(engine=alias)),
+            schedule_block(dag, machine, SearchOptions(), engine=alias),
+            schedule_block(ScheduleRequest(dag, machine, engine=alias)),
+        ):
+            assert _fields(result) == native, alias
+        split = schedule_block_split(dag, machine, window=4, engine=alias)
+        assert _split_fields(split) == split_native, alias
+
+    assert experiments_main(args + ["--engine", "fast", "--journal", journal]) == 0
+    first = capsys.readouterr()
+    with open(journal) as fh:
+        lines = fh.readlines()
+    with open(journal, "w") as fh:
+        fh.writelines(lines[:6])  # the header and five records
+    assert experiments_main(args + ["--engine", "fast", "--resume", journal]) == 0
+    resumed = capsys.readouterr()
+    assert table(first.out) == native_table
+    assert "resuming: 5 of 12 blocks recovered" in resumed.out
+    assert table(resumed.out) == native_table
+
+    alias_reply = service.schedule_batch(
+        dict(request, options={"engine": "fast"})
     )
-    split = schedule_block_split(dag, machine, window=4, engine="vector")
-    err = capsys.readouterr().err
-    assert err.count("engine 'vector' is deprecated") == 1, err
-    assert len(err.splitlines()) == 1, err
-    for result in (via_options, via_override, via_request):
-        assert _fields(result) == fast
-    assert split.timing == split_fast.timing
-    assert split.omega_calls == split_fast.omega_calls
-    assert split.windows == split_fast.windows
-    assert dict(split.prune_counts) == dict(split_fast.prune_counts)
+    assert alias_reply == native_reply
+
+    err = first.err + resumed.err + capsys.readouterr().err
+    notices = [line for line in err.splitlines() if "deprecated" in line]
+    assert len(notices) == 2, err
+    assert err.count("engine 'vector' is deprecated; running 'native'") == 1
+    assert err.count("engine 'fast' is deprecated; running 'native'") == 1
 
 
 # ----------------------------------------------------------------------
 # Carry-in conditions and large split blocks
 # ----------------------------------------------------------------------
-def test_vector_engine_with_carry_in_conditions():
+def test_engines_match_with_carry_in_conditions():
     """Carry-in pipeline/variable state (busy pipelines, late variables)
     seeds the flat timing state the native kernel receives; the whole
     lattice, native included, must stay exact under it."""
@@ -308,7 +358,7 @@ def test_vector_engine_with_carry_in_conditions():
         _run_all(dag, machine, SearchOptions(), initial_conditions=init)
 
 
-def test_vector_split_matches_on_large_blocks():
+def test_split_engines_match_on_large_blocks():
     """Blocks well past the window size exercise the carry-across-window
     state under the native splitter."""
     machine = get_machine("paper-simulation")
@@ -321,6 +371,4 @@ def test_vector_split_matches_on_large_blocks():
         dag = DependenceDAG(gb.block)
         ref = schedule_block_split(dag, machine, window=6, engine="reference")
         nat = schedule_block_split(dag, machine, window=6, engine="native")
-        assert nat.timing == ref.timing
-        assert nat.omega_calls == ref.omega_calls
-        assert dict(nat.prune_counts) == dict(ref.prune_counts)
+        assert _split_fields(nat) == _split_fields(ref)

@@ -2,16 +2,17 @@
 
 Three layers of contract:
 
-* **Differential** — the native engine must be bit-for-bit the fast /
-  reference engines in every ``SearchResult`` field except
+* **Differential** — the native engine must be bit-for-bit the
+  reference engine in every ``SearchResult`` field except
   ``elapsed_seconds``, over random blocks x (random + adversarial)
   machines and under every truncation mode (curtail, wall-clock
   deadline, memo starvation).
 * **Build cache** — first use compiles into a sha256-keyed cache dir;
   later uses hit the cache without invoking the compiler; a corrupted
   cached object is recompiled once, transparently.
-* **Fallback** — without a C compiler the engine degrades to ``fast``
-  with exactly one stderr notice per process and a telemetry counter.
+* **Fallback** — without a C compiler the engine degrades to
+  ``reference`` with exactly one stderr notice per process and a
+  telemetry counter.
 
 The whole module degrades gracefully on a host without a compiler: the
 differential tests then exercise the documented fallback (identical
@@ -29,6 +30,8 @@ from hypothesis import given, settings
 import repro.native.bindings as bindings
 import repro.native.build as build
 import repro.sched.core as core
+from repro.experiments.parallel import run_population_parallel
+from repro.experiments.runner import run_population
 from repro.ir.dag import DependenceDAG
 from repro.machine.presets import get_machine
 from repro.native import NativeBuildError, build_kernel, compiler_info
@@ -86,24 +89,22 @@ def _population(n_blocks, seed=7):
 
 
 # ----------------------------------------------------------------------
-# Differential fuzzing: native against every other engine
+# Differential fuzzing: native against the reference
 # ----------------------------------------------------------------------
 @settings(max_examples=80, deadline=None)
 @given(block=blocks(max_size=9), machine=any_machines())
 def test_native_matches_every_engine(block, machine):
     """Random blocks x (random + adversarial) machines: the native result
-    is field-for-field the fast and reference results."""
+    is field-for-field the reference result."""
     dag = DependenceDAG(block)
     assignment = _assignment_for(dag, machine)
     results = {
         name: schedule_block(
             dag, machine, SearchOptions(), assignment=assignment, engine=name
         )
-        for name in ("native", "fast", "reference")
+        for name in core.ENGINES
     }
-    native = _fields(results["native"])
-    for name in ("fast", "reference"):
-        assert native == _fields(results[name]), f"native != {name}"
+    assert _fields(results["native"]) == _fields(results["reference"])
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,17 +133,17 @@ def test_native_matches_paper_prunes(block, machine):
 
 def test_native_split_matches():
     """Window-by-window scheduling through the C splitter: every field of
-    the ``SplitScheduleResult`` agrees with the fast splitter."""
+    the ``SplitScheduleResult`` agrees with the reference splitter."""
     machine, members = _population(25)
     for gb in members:
         dag = DependenceDAG(gb.block)
-        fast = schedule_block_split(
-            dag, machine, window=4, curtail_per_window=300, engine="fast"
+        ref = schedule_block_split(
+            dag, machine, window=4, curtail_per_window=300, engine="reference"
         )
         nat = schedule_block_split(
             dag, machine, window=4, curtail_per_window=300, engine="native"
         )
-        assert _split_fields(nat) == _split_fields(fast)
+        assert _split_fields(nat) == _split_fields(ref)
 
 
 def test_native_register_budget_matches():
@@ -154,11 +155,11 @@ def test_native_register_budget_matches():
     for gb in members:
         dag = DependenceDAG(gb.block)
         try:
-            fast = schedule_block(dag, machine, options, engine="fast")
+            ref = schedule_block(dag, machine, options, engine="reference")
         except ValueError:
             continue  # seed itself exceeds the budget
         nat = schedule_block(dag, machine, options, engine="native")
-        assert _fields(nat) == _fields(fast)
+        assert _fields(nat) == _fields(ref)
         compared += 1
     assert compared, "population never fit a max_live=6 budget"
 
@@ -174,10 +175,10 @@ def test_native_curtail_truncates_identically():
     saw_truncation = False
     for gb in members:
         dag = DependenceDAG(gb.block)
-        fast = schedule_block(dag, machine, options, engine="fast")
+        ref = schedule_block(dag, machine, options, engine="reference")
         nat = schedule_block(dag, machine, options, engine="native")
-        assert _fields(nat) == _fields(fast)
-        saw_truncation = saw_truncation or not fast.completed
+        assert _fields(nat) == _fields(ref)
+        saw_truncation = saw_truncation or not ref.completed
     assert saw_truncation, "curtail=1 never truncated a search"
 
 
@@ -189,9 +190,9 @@ def test_native_time_limit_honored():
     saw_timeout = False
     for gb in members:
         dag = DependenceDAG(gb.block)
-        fast = schedule_block(dag, machine, options, engine="fast")
+        ref = schedule_block(dag, machine, options, engine="reference")
         nat = schedule_block(dag, machine, options, engine="native")
-        assert _fields(nat) == _fields(fast)
+        assert _fields(nat) == _fields(ref)
         if nat.timed_out:
             saw_timeout = True
             assert not nat.completed
@@ -206,9 +207,9 @@ def test_native_memo_eviction_matches():
     evicted_anywhere = False
     for gb in members:
         dag = DependenceDAG(gb.block)
-        fast = schedule_block(dag, machine, options, engine="fast")
+        ref = schedule_block(dag, machine, options, engine="reference")
         nat = schedule_block(dag, machine, options, engine="native")
-        assert _fields(nat) == _fields(fast)
+        assert _fields(nat) == _fields(ref)
         evicted_anywhere = evicted_anywhere or nat.memo_evicted > 0
     assert evicted_anywhere, "population never overflowed a 4-entry memo"
 
@@ -220,9 +221,9 @@ def test_native_memo_disabled():
     options = SearchOptions(max_memo_entries=0)
     for gb in members[:8]:
         dag = DependenceDAG(gb.block)
-        fast = schedule_block(dag, machine, options, engine="fast")
+        ref = schedule_block(dag, machine, options, engine="reference")
         nat = schedule_block(dag, machine, options, engine="native")
-        assert _fields(nat) == _fields(fast)
+        assert _fields(nat) == _fields(ref)
         assert nat.completed
 
 
@@ -286,9 +287,9 @@ def test_corrupted_cache_entry_recompiles(fresh_cache):
     # And the engine actually runs on the recompiled object.
     machine, members = _population(3, seed=2)
     dag = DependenceDAG(members[0].block)
-    fast = schedule_block(dag, machine, SearchOptions(), engine="fast")
+    ref = schedule_block(dag, machine, SearchOptions(), engine="reference")
     nat = schedule_block(dag, machine, SearchOptions(), engine="native")
-    assert _fields(nat) == _fields(fast)
+    assert _fields(nat) == _fields(ref)
 
 
 @needs_cc
@@ -322,36 +323,47 @@ def no_compiler(monkeypatch):
 
 
 def test_native_fallback_without_compiler(no_compiler, capsys):
-    """With no compiler the native engine must degrade to fast: one
-    warning line per process, results byte-for-byte the fast engine's,
-    the split path included."""
+    """With no compiler the native engine — named or by default — must
+    degrade to reference: one warning line per process, results
+    byte-for-byte the reference engine's, the split path included."""
     machine, members = _population(6, seed=21)
     dag = DependenceDAG(members[0].block)
-    fast = schedule_block(dag, machine, SearchOptions(), engine="fast")
-    split_fast = schedule_block_split(dag, machine, window=4, engine="fast")
+    ref = schedule_block(dag, machine, SearchOptions(), engine="reference")
+    split_ref = schedule_block_split(
+        dag, machine, window=4, engine="reference"
+    )
     nat1 = schedule_block(dag, machine, SearchOptions(), engine="native")
-    nat2 = schedule_block(dag, machine, SearchOptions(), engine="native")
+    nat2 = schedule_block(dag, machine, SearchOptions())
     split_nat = schedule_block_split(dag, machine, window=4, engine="native")
+    split_default = schedule_block_split(dag, machine, window=4)
     err = capsys.readouterr().err
-    assert err.count("falling back to 'fast'") == 1, err
+    assert err.count("falling back to 'reference'") == 1, err
+    assert len(err.splitlines()) == 1, err
     assert "engine 'native' unavailable" in err
-    assert _fields(nat1) == _fields(fast)
-    assert _fields(nat2) == _fields(fast)
-    assert _split_fields(split_nat) == _split_fields(split_fast)
+    assert _fields(nat1) == _fields(ref)
+    assert _fields(nat2) == _fields(ref)
+    assert _split_fields(split_nat) == _split_fields(split_ref)
+    assert _split_fields(split_default) == _split_fields(split_ref)
 
 
 def test_native_fallback_counts_telemetry(no_compiler, capsys):
     """Every degraded dispatch bumps ``search.engine_fallbacks`` even
-    after the one-line warning went quiet."""
+    after the one-line warning went quiet; a population run, serial or
+    parallel, resolves (and counts) once."""
     telemetry = Telemetry()
     machine, members = _population(4, seed=23)
     dag = DependenceDAG(members[0].block)
-    for _ in range(3):
+    for _ in range(2):
         schedule_block(
             dag, machine, SearchOptions(), telemetry=telemetry, engine="native"
         )
-    capsys.readouterr()
+    schedule_block(dag, machine, SearchOptions(), telemetry=telemetry)
     assert telemetry.counters["search.engine_fallbacks"] == 3
+    for run in (run_population, run_population_parallel):
+        telemetry = Telemetry()
+        run(6, curtail=2000, telemetry=telemetry)
+        assert telemetry.counters["search.engine_fallbacks"] == 1, run
+    capsys.readouterr()
 
 
 def test_build_kernel_raises_without_compiler(no_compiler):
@@ -364,7 +376,8 @@ def test_build_kernel_raises_without_compiler(no_compiler):
 @needs_cc
 def test_compile_failure_is_memoized(tmp_path, monkeypatch, capsys):
     """A broken kernel source fails once, then the failure is served from
-    memory — no recompile storm, and the engine still answers via fast."""
+    memory — no recompile storm, and the engine still answers via
+    reference."""
     bad_src = tmp_path / "kernel.c"
     bad_src.write_text("this is not C\n")
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
@@ -382,14 +395,14 @@ def test_compile_failure_is_memoized(tmp_path, monkeypatch, capsys):
     try:
         machine, members = _population(3, seed=2)
         dag = DependenceDAG(members[0].block)
-        fast = schedule_block(dag, machine, SearchOptions(), engine="fast")
+        ref = schedule_block(dag, machine, SearchOptions(), engine="reference")
         nat1 = schedule_block(dag, machine, SearchOptions(), engine="native")
         nat2 = schedule_block(dag, machine, SearchOptions(), engine="native")
         err = capsys.readouterr().err
-        assert err.count("falling back to 'fast'") == 1
+        assert err.count("falling back to 'reference'") == 1
         assert "C compile failed" in err
-        assert _fields(nat1) == _fields(fast)
-        assert _fields(nat2) == _fields(fast)
+        assert _fields(nat1) == _fields(ref)
+        assert _fields(nat2) == _fields(ref)
         # --version probe(s) plus exactly ONE compile attempt.
         compile_calls = [c for c in calls]
         assert len(compile_calls) <= 3
@@ -406,12 +419,14 @@ def test_native_is_a_valid_engine_everywhere():
     dag = DependenceDAG(members[0].block)
     options = SearchOptions(engine="native")
     nat = schedule_block(dag, machine, options)
-    fast = schedule_block(dag, machine, SearchOptions(), engine="fast")
-    assert _fields(nat) == _fields(fast)
+    ref = schedule_block(dag, machine, SearchOptions(), engine="reference")
+    assert _fields(nat) == _fields(ref)
 
 
 @needs_cc
-def test_resolve_engine_passes_native_through():
+def test_resolve_engine_passes_native_through(capsys):
     assert core.resolve_engine("native") == "native"
-    assert core.resolve_engine("fast") == "fast"
     assert core.resolve_engine("reference") == "reference"
+    for alias in ("fast", "vector"):
+        assert core.resolve_engine(alias) == "native"
+    capsys.readouterr()

@@ -330,7 +330,9 @@ class TestSupervisorPolicy:
 
 
 # ----------------------------------------------------------------------
-# Degradation-ladder rung regressions (both engines, all certified)
+# Degradation-ladder rung regressions (both engines, all certified).
+# "fast" is the retired alias of native: it runs the native engine and
+# keeps the alias covered on every rung.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine", ["fast", "reference"])
 class TestLadderRungs:
@@ -382,7 +384,8 @@ class TestLadderRungs:
 
     def test_engines_agree_per_rung(self, engine):
         # The rung records above are engine-independent bit for bit
-        # (elapsed_seconds excluded); spot-check against the fast engine.
+        # (elapsed_seconds excluded); spot-check the reference against
+        # "fast", the retired alias of native that old journals name.
         if engine == "fast":
             pytest.skip("comparison target")
         for build in (

@@ -1,7 +1,7 @@
 """The scheduling service: result cache, daemon, and client.
 
 The load-bearing invariant is *bit-for-bit transparency*: a cache-hit
-``SearchResult`` equals the cold fast-engine result in every field
+``SearchResult`` equals the cold native-engine result in every field
 except ``elapsed_seconds``, passes the independent certificate checker,
 and this holds across ident renamings, the disk tier, pickled workers,
 and the HTTP daemon.
@@ -128,19 +128,24 @@ class TestCacheTransparency:
 
     def test_fast_result_served_to_vector_request(self, figure3_dag):
         # The canonical key excludes the engine, so a result solved
-        # under "fast" must be a hit for a "vector" request — and
-        # indistinguishable from solving the block cold under vector.
+        # under the retired "fast" name must be a hit for a "vector" and
+        # a "native" request — and indistinguishable from solving the
+        # block cold under native.
         machine = get_machine("paper-simulation")
         fast_opts = dataclasses.replace(OPTIONS, engine="fast")
         vector_opts = dataclasses.replace(OPTIONS, engine="vector")
+        native_opts = dataclasses.replace(OPTIONS, engine="native")
         cache = ScheduleCache()
         warm, s1 = cache.schedule_with_status(figure3_dag, machine, fast_opts)
         served, s2 = cache.schedule_with_status(
             figure3_dag, machine, vector_opts
         )
-        assert (s1, s2) == ("miss", "hit")
-        assert _strip(served) == _strip(warm)
-        cold = schedule_block(figure3_dag, machine, vector_opts)
+        native, s3 = cache.schedule_with_status(
+            figure3_dag, machine, native_opts
+        )
+        assert (s1, s2, s3) == ("miss", "hit", "hit")
+        assert _strip(served) == _strip(warm) == _strip(native)
+        cold = schedule_block(figure3_dag, machine, native_opts)
         assert _strip(served) == _strip(cold)
         _certify(figure3_dag, machine, served.best)
 

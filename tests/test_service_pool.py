@@ -72,6 +72,7 @@ def _certify_entry(tuples, machine, entry):
 
 def _pooled_service(
     workers=2,
+    engine=OPTIONS.engine,
     fault_plan=None,
     cache=None,
     hang_timeout=60.0,
@@ -93,7 +94,10 @@ def _pooled_service(
         hang_timeout=hang_timeout,
     ).start()
     return SchedulingService(
-        cache=cache, options=OPTIONS, pool=pool, queue_limit=queue_limit
+        cache=cache,
+        options=SearchOptions(curtail=OPTIONS.curtail, engine=engine),
+        pool=pool,
+        queue_limit=queue_limit,
     )
 
 
@@ -133,18 +137,23 @@ class TestWorkerPool:
     def test_vector_alias_request_matches_fast(
         self, baseline_reply, capfd, monkeypatch
     ):
-        """A request naming the retired ``vector`` engine is answered
-        like ``fast``.  The front end resolves the alias, so its notice
-        prints once for the daemon, not once per worker."""
+        """Requests naming the retired ``vector`` and ``fast`` engines are
+        answered like ``native`` (and so like each other).  The front end
+        resolves each alias, so its notice prints once for the daemon,
+        not once per worker."""
         import repro.sched.core as core
 
-        monkeypatch.setattr(core, "_alias_warned", False)
-        reply = _run_batch(_pooled_service(workers=2), options={"engine": "vector"})
-        assert [_entry_core(e) for e in reply["entries"]] == [
-            _entry_core(e) for e in baseline_reply["entries"]
-        ]
+        monkeypatch.setattr(core, "_alias_warned", set())
+        for alias in ("vector", "fast"):
+            reply = _run_batch(
+                _pooled_service(workers=2), options={"engine": alias}
+            )
+            assert [_entry_core(e) for e in reply["entries"]] == [
+                _entry_core(e) for e in baseline_reply["entries"]
+            ]
         err = capfd.readouterr().err
         assert err.count("engine 'vector' is deprecated") == 1, err
+        assert err.count("engine 'fast' is deprecated") == 1, err
 
     def test_worker_crash_recovery_bit_identical(self, baseline_reply):
         # Satellite 4: a seeded FaultPlan kills a worker mid-request;
@@ -391,7 +400,13 @@ class TestRequestBodyEdgeCases:
 
 class TestHealthEndpoints:
     def test_liveness_and_readiness_split(self):
-        service = _pooled_service(workers=1)
+        # A daemon whose engine fell back (native without a C compiler)
+        # is deliberately not ready — test_vector_alias_daemon_is_ready
+        # pins that — so serve with an engine this host runs as asked.
+        import repro.native
+
+        engine = "native" if repro.native.native_available() else "reference"
+        service = _pooled_service(workers=1, engine=engine)
         server, url = create_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -416,16 +431,19 @@ class TestHealthEndpoints:
 
 
     def test_vector_alias_daemon_is_ready(self, monkeypatch):
-        """A daemon asked for the retired ``vector`` engine runs ``fast``
-        and is ready; only a real native -> fast fallback is not."""
+        """A daemon asked for the retired ``vector`` or ``fast`` engine
+        runs ``native`` and is ready; only a real native -> reference
+        fallback is not."""
         import repro.native
         import repro.sched.core as core
 
-        monkeypatch.setattr(core, "_alias_warned", True)
-        ready, payload = SchedulingService(
-            options=SearchOptions(engine="vector")
-        ).readiness()
-        assert ready and payload["checks"]["engine"] is True
+        monkeypatch.setattr(core, "_alias_warned", {"vector", "fast"})
+        monkeypatch.setattr(repro.native, "native_available", lambda: True)
+        for alias in ("vector", "fast"):
+            ready, payload = SchedulingService(
+                options=SearchOptions(engine=alias)
+            ).readiness()
+            assert ready and payload["checks"]["engine"] is True
 
         monkeypatch.setattr(repro.native, "native_available", lambda: False)
         monkeypatch.setattr(core, "_native_fallback_warned", True)
