@@ -19,10 +19,11 @@ from __future__ import annotations
 import argparse
 from typing import Dict, Iterable, Optional, Tuple
 
+from .resilience.budget import BudgetManager
 from .sched.core import ENGINE_ALIASES, ENGINES
-from .sched.search import DEFAULT_CURTAIL
+from .sched.search import DEFAULT_CURTAIL, SearchOptions
 
-__all__ = ["common_flags", "COMMON_FLAGS"]
+__all__ = ["common_flags", "COMMON_FLAGS", "search_options", "run_budget"]
 
 #: flag name -> (argparse args, argparse kwargs).  One entry per shared
 #: flag; tools opt into the subset they support.
@@ -86,8 +87,10 @@ COMMON_FLAGS: Dict[str, Tuple[tuple, dict]] = {
             type=float,
             default=None,
             metavar="SECONDS",
-            help="per-block wall-clock budget; blocks over budget degrade "
-            "down the ladder instead of stalling",
+            help="per-block wall-clock limit (SearchOptions.time_limit); "
+            "a block over it publishes its windowed (section 5.3) schedule "
+            "if that beats the list-schedule seed, else the seed, and is "
+            "recorded degraded instead of stalling the run",
         ),
     ),
     "run-timeout": (
@@ -96,8 +99,9 @@ COMMON_FLAGS: Dict[str, Tuple[tuple, dict]] = {
             type=float,
             default=None,
             metavar="SECONDS",
-            help="run-level wall-clock budget; blocks past the deadline "
-            "degrade down the ladder (split windows, then list seeds)",
+            help="run-level wall-clock budget; it also caps each block's "
+            "time limit, and blocks that start past the deadline publish "
+            "their list-schedule seeds without searching",
         ),
     ),
     "run-omega-budget": (
@@ -134,3 +138,36 @@ def common_flags(
             kwargs.update(overrides[name])
         parent.add_argument(*args, **kwargs)
     return parent
+
+
+def search_options(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> SearchOptions:
+    """The :class:`SearchOptions` of ``--curtail``/``--engine``/``--block-timeout``.
+
+    A value ``SearchOptions`` rejects is a usage error: ``parser.error``
+    (exit 2, one line), never a traceback from deep inside a run.
+    """
+    try:
+        return SearchOptions(
+            curtail=args.curtail, engine=args.engine, time_limit=args.block_timeout
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def run_budget(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> Optional[BudgetManager]:
+    """The run-level :class:`BudgetManager` of ``--run-timeout``/
+    ``--run-omega-budget`` (``None`` when neither is given); a rejected
+    value is a usage error, as in :func:`search_options`.
+    """
+    if args.run_timeout is None and args.run_omega_budget is None:
+        return None
+    try:
+        return BudgetManager(
+            run_wall_clock=args.run_timeout, run_omega_cap=args.run_omega_budget
+        )
+    except ValueError as exc:
+        parser.error(str(exc))

@@ -28,11 +28,10 @@ import sys
 import time
 from typing import List, Optional
 
+from ..cliutil import run_budget, search_options
 from ..ioutil import atomic_write_text
-from ..resilience.budget import BudgetManager
 from ..resilience.faults import FaultPlan
 from ..resilience.journal import Journal, JournalError
-from ..sched.search import SearchOptions
 from ..telemetry import Telemetry
 from . import (
     ablation,
@@ -205,15 +204,8 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-experiments") -> i
             fault_plan = FaultPlan.parse(args.chaos)
         except ValueError as exc:
             parser.error(str(exc))
-    budget = None
-    if args.run_timeout is not None or args.run_omega_budget is not None:
-        try:
-            budget = BudgetManager(
-                run_wall_clock=args.run_timeout,
-                run_omega_cap=args.run_omega_budget,
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
+    options = search_options(parser, args)
+    budget = run_budget(parser, args)
     cache = None
     if args.cache:
         from ..service.cache import ScheduleCache
@@ -283,11 +275,8 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-experiments") -> i
                     n_blocks,
                     args.curtail,
                     args.seed,
-                    options=SearchOptions(
-                        curtail=args.curtail, engine=args.engine
-                    ),
+                    options=options,
                     workers=workers,
-                    block_timeout=args.block_timeout,
                     telemetry=telemetry,
                     verify=args.verify,
                     done=done,

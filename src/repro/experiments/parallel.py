@@ -37,9 +37,12 @@ work.  :class:`VerificationError` is the one exception that must *not*
 be retried: a failed schedule certificate means the data is wrong, not
 the worker, so it aborts the run.
 
-Degradation, not hangs: ``block_timeout`` bounds the wall-clock any one
-block may spend in the branch-and-bound; a block that exceeds it walks
-down the degradation ladder and is recorded ``completed=False``.
+Degradation, not hangs: ``SearchOptions.time_limit`` bounds the
+wall-clock any one block may spend in the branch-and-bound; a block that
+exceeds it walks down the degradation ladder
+(:func:`repro.resilience.budget.ladder_schedule` — split windows, then
+the list seed) exactly as it would serially, and is recorded
+``completed=False``.
 Robustness, not ceremony: ``workers=1`` — or any failure to stand
 worker processes up (sandboxed environments without process support) —
 falls back to the serial runner, which produces the same records.
@@ -114,7 +117,6 @@ def _chunk_worker(
     machine: MachineDescription,
     spec: PopulationSpec,
     options: SearchOptions,
-    block_timeout: Optional[float],
     verify: bool,
     budget: Optional[BudgetManager],
     fault_plan: Optional[FaultPlan],
@@ -154,9 +156,8 @@ def _chunk_worker(
                     gb,
                     machine,
                     options,
-                    telemetry,
-                    block_timeout,
-                    verify,
+                    telemetry=telemetry,
+                    verify=verify,
                     budget=budget,
                     cache=cache,
                 )
@@ -200,7 +201,6 @@ def run_population_parallel(
     spec: PopulationSpec = PopulationSpec(),
     options: Optional[SearchOptions] = None,
     workers: Optional[int] = None,
-    block_timeout: Optional[float] = None,
     telemetry: Optional[Telemetry] = None,
     verify: bool = False,
     done: Optional[Mapping[int, BlockRecord]] = None,
@@ -264,9 +264,8 @@ def run_population_parallel(
             machine,
             spec,
             options,
-            telemetry,
-            block_timeout,
-            verify,
+            telemetry=telemetry,
+            verify=verify,
             done=done,
             on_record=(
                 None if on_records is None else (lambda r: on_records([r]))
@@ -298,7 +297,6 @@ def run_population_parallel(
                 machine,
                 spec,
                 options,
-                block_timeout,
                 verify,
                 workers,
                 telemetry,
@@ -337,7 +335,6 @@ def _run_supervised(
     machine: MachineDescription,
     spec: PopulationSpec,
     options: SearchOptions,
-    block_timeout: Optional[float],
     verify: bool,
     workers: int,
     telemetry: Optional[Telemetry],
@@ -410,7 +407,6 @@ def _run_supervised(
                         machine,
                         spec,
                         options,
-                        block_timeout,
                         verify,
                         budget,
                         fault_plan,

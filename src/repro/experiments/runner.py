@@ -35,17 +35,16 @@ from ..ir.dag import DependenceDAG
 from ..machine.machine import MachineDescription
 from ..machine.presets import paper_simulation_machine
 from ..resilience.budget import (
-    STEP_CURTAILED,
-    STEP_LIST_SEED,
     STEP_OPTIMAL,
-    STEP_SPLIT,
     BudgetManager,
+    LadderOutcome,
+    ladder_schedule,
+    seed_outcome,
 )
 from ..sched.core import resolve_engine
-from ..sched.list_scheduler import list_schedule, program_order
+from ..sched.list_scheduler import program_order
 from ..sched.nop_insertion import ScheduleTiming, compute_timing
-from ..sched.search import SearchOptions, SearchResult, schedule_block
-from ..sched.splitting import schedule_block_split
+from ..sched.search import SearchOptions
 from ..synth.generator import GeneratedBlock
 from ..synth.population import (
     PopulationSpec,
@@ -140,24 +139,48 @@ class VerificationError(AssertionError):
     """A population schedule failed its independent certificate check."""
 
 
+#: What an empty block publishes: nothing to schedule, trivially optimal.
+_EMPTY = LadderOutcome(
+    timing=ScheduleTiming((), (), ()),
+    seed_nops=0,
+    omega_calls=0,
+    ladder=STEP_OPTIMAL,
+    completed=True,
+)
+
+
+def _record(
+    index: int,
+    gb: GeneratedBlock,
+    initial_nops: int,
+    out: LadderOutcome,
+    elapsed: float,
+    telemetry: Optional[Telemetry],
+) -> BlockRecord:
+    """The ``BlockRecord`` view of one ladder outcome."""
+    if telemetry is not None and out.degraded:
+        telemetry.count("blocks.degraded")
+    return BlockRecord(
+        index=index,
+        size=len(gb.block),
+        statements=gb.statements,
+        initial_nops=initial_nops,
+        seed_nops=out.seed_nops,
+        final_nops=out.final_nops,
+        omega_calls=out.omega_calls,
+        completed=out.completed,
+        degraded=out.degraded,
+        ladder=out.ladder,
+        elapsed_seconds=elapsed,
+    )
+
+
 def _empty_record(index: int, gb: GeneratedBlock, telemetry) -> BlockRecord:
     """The zero-size record for a block the optimizer folded away."""
     if telemetry is not None:
         telemetry.count("blocks.empty")
         telemetry.count(f"resilience.ladder.{STEP_OPTIMAL}")
-    return BlockRecord(
-        index=index,
-        size=0,
-        statements=gb.statements,
-        initial_nops=0,
-        seed_nops=0,
-        final_nops=0,
-        omega_calls=0,
-        completed=True,
-        degraded=False,
-        ladder=STEP_OPTIMAL,
-        elapsed_seconds=0.0,
-    )
+    return _record(index, gb, 0, _EMPTY, 0.0, telemetry)
 
 
 def list_seed_record(
@@ -166,119 +189,21 @@ def list_seed_record(
     machine: MachineDescription,
     telemetry: Optional[Telemetry] = None,
 ) -> BlockRecord:
-    """The bottom rung of the degradation ladder: no search at all.
+    """The bottom rung of the degradation ladder without a search.
 
-    Publishes the deterministic list-schedule seed.  Used when the
-    run-level budget is already exhausted before a block starts and when
-    a poisoned worker chunk is quarantined — the two situations where a
-    record is still owed but searching is off the table.
-    ``omega_calls=0`` records honestly that no search ran.
+    Publishes the deterministic list-schedule seed for a block of a
+    poisoned worker chunk, or of a chunk the run budget drained before it
+    started — the situations where a record is still owed but searching
+    is off the table.
     """
-    block = gb.block
-    if len(block) == 0:
+    if len(gb.block) == 0:
         return _empty_record(index, gb, telemetry)
     start = time.perf_counter()
-    dag = DependenceDAG(block)
+    dag = DependenceDAG(gb.block)
     initial = compute_timing(dag, program_order(dag), machine)
-    seed = compute_timing(dag, list_schedule(dag), machine)
-    if telemetry is not None:
-        telemetry.count("blocks.degraded")
-        telemetry.count(f"resilience.ladder.{STEP_LIST_SEED}")
-    return BlockRecord(
-        index=index,
-        size=len(block),
-        statements=gb.statements,
-        initial_nops=initial.total_nops,
-        seed_nops=seed.total_nops,
-        final_nops=seed.total_nops,
-        omega_calls=0,
-        completed=False,
-        degraded=True,
-        ladder=STEP_LIST_SEED,
-        elapsed_seconds=time.perf_counter() - start,
-    )
-
-
-@dataclass(frozen=True)
-class LadderOutcome:
-    """What one trip down the degradation ladder published.
-
-    ``result`` is the raw search outcome; ``timing``/``final_nops`` are
-    what the chosen rung actually publishes (the search incumbent, the
-    split-windows schedule, or the list seed).  ``cache_status`` is the
-    cache provenance (``"hit"``/``"miss"``/``"bypass"``) when a
-    :class:`repro.service.cache.ScheduleCache` drove the search, else
-    ``None``.
-    """
-
-    result: SearchResult
-    timing: ScheduleTiming
-    final_nops: int
-    omega_calls: int
-    ladder: str
-    degraded: bool
-    cache_status: Optional[str] = None
-
-
-def ladder_schedule(
-    dag: DependenceDAG,
-    machine: MachineDescription,
-    options: SearchOptions,
-    telemetry: Optional[Telemetry] = None,
-    budget: Optional[BudgetManager] = None,
-    cache=None,
-) -> LadderOutcome:
-    """Search one block and walk the degradation ladder on a timeout.
-
-    The shared per-block step behind :func:`schedule_generated_block`
-    and the batch scheduling daemon (:mod:`repro.service.server`): run
-    the branch-and-bound (through ``cache`` when given — a
-    :class:`repro.service.cache.ScheduleCache` — so solved canonical
-    forms are served instead of recomputed), and degrade a
-    deadline-truncated search to the split-windows schedule (when
-    ``budget`` enables it and it beats the seed) or the list seed.
-    """
-    if cache is not None:
-        result, cache_status = cache.schedule_with_status(
-            dag, machine, options, telemetry=telemetry
-        )
-    else:
-        result = schedule_block(dag, machine, options, telemetry=telemetry)
-        cache_status = None
-    # Deadline-truncated searches degrade: the incumbent they stopped on
-    # depends on wall clock, the fallback rungs below do not.
-    degraded = result.timed_out
-    omega_calls = result.omega_calls
-    if not degraded:
-        ladder = STEP_OPTIMAL if result.completed else STEP_CURTAILED
-        timing = result.best
-        final_nops = result.final_nops
-    else:
-        ladder = STEP_LIST_SEED
-        timing = result.initial
-        final_nops = result.initial_nops
-        if budget is not None and budget.split_fallback and len(dag) > 1:
-            split = schedule_block_split(
-                dag,
-                machine,
-                window=budget.split_window,
-                curtail_per_window=budget.split_curtail,
-                telemetry=telemetry,
-                engine=options.engine,
-            )
-            omega_calls += split.omega_calls
-            if split.total_nops < result.initial_nops:
-                ladder = STEP_SPLIT
-                timing = split.timing
-                final_nops = split.total_nops
-    return LadderOutcome(
-        result=result,
-        timing=timing,
-        final_nops=final_nops,
-        omega_calls=omega_calls,
-        ladder=ladder,
-        degraded=degraded,
-        cache_status=cache_status,
+    out = seed_outcome(dag, machine, telemetry)
+    return _record(
+        index, gb, initial.total_nops, out, time.perf_counter() - start, telemetry
     )
 
 
@@ -288,7 +213,6 @@ def schedule_generated_block(
     machine: MachineDescription,
     options: SearchOptions,
     telemetry: Optional[Telemetry] = None,
-    block_timeout: Optional[float] = None,
     verify: bool = False,
     budget: Optional[BudgetManager] = None,
     cache=None,
@@ -299,19 +223,14 @@ def schedule_generated_block(
     produce a zero-size record instead of a gap, so ``BlockRecord.index``
     stays dense and the record count always equals the population size.
 
-    ``block_timeout`` bounds the wall-clock spent searching this block; a
-    block that exceeds it walks down the degradation ladder (see
-    :mod:`repro.resilience.budget`): with a ``budget`` manager whose
-    split fallback is enabled, the section-5.3 windowed scheduler gets a
-    small deterministic Ω budget to beat the list seed
-    (``ladder="split-windows"``); otherwise — and when the windows do
-    not improve on it — the block publishes its list-schedule seed
-    (``ladder="list-seed"``).  Either way the record is marked
+    The record is the ``BlockRecord`` view of
+    :func:`repro.resilience.budget.ladder_schedule`'s outcome.
+    ``options.time_limit`` bounds the wall-clock spent searching this
+    block; a block that exceeds it publishes the split-windows schedule
+    when it beats the list seed, else the list seed, and is marked
     ``degraded=True, completed=False`` instead of stalling the run.
-
-    ``budget`` additionally clamps the block's curtail point and memo cap
-    and enforces the run-level budgets: once those are exhausted, blocks
-    skip the search entirely and publish their list seeds.
+    ``budget`` enforces the run-level budgets: once they are exhausted,
+    blocks skip the search entirely and publish their list seeds.
 
     ``verify`` re-derives the *published* schedule's legality and NOP
     count through :mod:`repro.verify.certificate` (an implementation that
@@ -323,25 +242,12 @@ def schedule_generated_block(
     blocks whose canonical form was already solved (this run or any
     earlier run sharing the store) are served from it, bit-for-bit
     identical to a cold search.  Searches running under a wall-clock
-    ``block_timeout`` bypass the cache (the outcome is not a pure
-    function of the problem), so records stay byte-identical either way.
+    ``time_limit`` bypass the cache (the outcome is not a pure function
+    of the problem), so records stay byte-identical either way.
     """
     block = gb.block
     if len(block) == 0:
         return _empty_record(index, gb, telemetry)
-    if budget is not None:
-        if budget.run_exhausted() is not None:
-            if telemetry is not None:
-                telemetry.count("resilience.run_budget_exhausted")
-            return list_seed_record(index, gb, machine, telemetry)
-        options = budget.options_for_block(options)
-    if block_timeout is not None:
-        limit = (
-            block_timeout
-            if options.time_limit is None
-            else min(options.time_limit, block_timeout)
-        )
-        options = replace(options, time_limit=limit)
     dag = DependenceDAG(block)
     initial = compute_timing(dag, program_order(dag), machine)
     start = time.perf_counter()
@@ -349,27 +255,9 @@ def schedule_generated_block(
         dag, machine, options, telemetry=telemetry, budget=budget, cache=cache
     )
     elapsed = time.perf_counter() - start
-    if budget is not None:
-        budget.charge(out.omega_calls)
-    if telemetry is not None:
-        if out.degraded:
-            telemetry.count("blocks.degraded")
-        telemetry.count(f"resilience.ladder.{out.ladder}")
     if verify:
         _verify_record(block, dag, machine, out.timing, out.final_nops, telemetry)
-    return BlockRecord(
-        index=index,
-        size=len(block),
-        statements=gb.statements,
-        initial_nops=initial.total_nops,
-        seed_nops=out.result.initial_nops,
-        final_nops=out.final_nops,
-        omega_calls=out.omega_calls,
-        completed=out.result.completed and not out.degraded,
-        degraded=out.degraded,
-        ladder=out.ladder,
-        elapsed_seconds=elapsed,
-    )
+    return _record(index, gb, initial.total_nops, out, elapsed, telemetry)
 
 
 def _verify_record(block, dag, machine, timing, final_nops, telemetry):
@@ -413,7 +301,6 @@ def run_population(
     spec: PopulationSpec = PopulationSpec(),
     options: Optional[SearchOptions] = None,
     telemetry: Optional[Telemetry] = None,
-    block_timeout: Optional[float] = None,
     verify: bool = False,
     done: Optional[Mapping[int, BlockRecord]] = None,
     on_record: Optional[Callable[[BlockRecord], None]] = None,
@@ -438,9 +325,8 @@ def run_population(
     * ``on_record`` — called with each *freshly scheduled* record the
       moment it exists (not with journal-replayed ones); the CLI points
       this at :meth:`repro.resilience.journal.Journal.append`.
-    * ``budget`` — a started :class:`BudgetManager` enforcing run-level
-      wall-clock/Ω budgets and per-block clamps, enabling the
-      split-windows ladder rung (see :func:`schedule_generated_block`).
+    * ``budget`` — a :class:`BudgetManager` enforcing the run-level
+      wall-clock/Ω budgets (see :func:`schedule_generated_block`).
     * ``cache`` — a :class:`repro.service.cache.ScheduleCache`; blocks
       whose canonical form is already in the (possibly shared, possibly
       disk-backed) store are served from it instead of re-searched.
@@ -473,9 +359,8 @@ def run_population(
             gb,
             machine,
             options,
-            telemetry,
-            block_timeout,
-            verify,
+            telemetry=telemetry,
+            verify=verify,
             budget=budget,
             cache=cache,
         )

@@ -3,9 +3,11 @@
 Four pieces, composed by :mod:`repro.experiments.parallel` and the
 ``repro experiments`` CLI:
 
-* :mod:`repro.resilience.budget` — unified wall-clock / Ω-call / memo
-  budgets and the ``optimal-search → curtailed-search → split-windows →
-  list-seed`` degradation ladder.
+* :mod:`repro.resilience.budget` — run-level wall-clock / Ω-call
+  budgets and :func:`ladder_schedule`, the one function that picks a
+  block's rung on the ``optimal-search → curtailed-search →
+  split-windows → list-seed`` degradation ladder (per-block limits are
+  ``SearchOptions`` fields).
 * :mod:`repro.resilience.journal` — append-only, fsync'd checkpoint
   journal of completed block records; ``--resume`` replays it.
 * :mod:`repro.resilience.supervisor` — heartbeat-based worker
@@ -20,8 +22,9 @@ from .budget import (
     STEP_LIST_SEED,
     STEP_OPTIMAL,
     STEP_SPLIT,
-    BlockBudget,
     BudgetManager,
+    LadderOutcome,
+    ladder_schedule,
 )
 from .faults import FaultPlan
 from .journal import Journal, JournalError, load_journal
@@ -33,8 +36,9 @@ __all__ = [
     "STEP_LIST_SEED",
     "STEP_OPTIMAL",
     "STEP_SPLIT",
-    "BlockBudget",
     "BudgetManager",
+    "LadderOutcome",
+    "ladder_schedule",
     "FaultPlan",
     "Journal",
     "JournalError",

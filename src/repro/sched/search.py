@@ -62,6 +62,7 @@ schedules early — this is what makes the alpha-beta bound effective.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -147,8 +148,13 @@ class SearchOptions:
     def __post_init__(self) -> None:
         if self.curtail < 1:
             raise ValueError("curtail point must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time limit must be positive")
+        if self.time_limit is not None and not (
+            math.isfinite(self.time_limit) and self.time_limit > 0
+        ):
+            raise ValueError(
+                "time limit must be a positive, finite number of seconds, "
+                f"got {self.time_limit!r}"
+            )
         check_engine(self.engine)
         if self.max_memo_entries < 0:
             raise ValueError("max_memo_entries must be non-negative")

@@ -37,12 +37,10 @@ import sys
 import threading
 from typing import List, Optional
 
-from ..cliutil import common_flags
+from ..cliutil import common_flags, run_budget, search_options
 from ..ioutil import atomic_write_json
-from ..resilience.budget import BudgetManager
 from ..resilience.faults import FaultPlan
 from ..resilience.supervisor import SupervisorConfig
-from ..sched.search import SearchOptions
 from ..telemetry import Telemetry
 from .cache import ScheduleCache
 from .pool import POOL_HANG_TIMEOUT, WorkerPool
@@ -144,6 +142,8 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-serve") -> int:
         parser.error("--unix and --port are mutually exclusive")
     if args.workers < 0:
         parser.error("--workers must be non-negative")
+    options = search_options(parser, args)
+    budget = run_budget(parser, args)
 
     cache = None
     if not args.no_cache:
@@ -152,15 +152,6 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-serve") -> int:
             memory_entries=args.memory_entries,
             verify_on_insert=not args.no_insert_verify,
         )
-    budget = None
-    if args.run_timeout is not None or args.run_omega_budget is not None:
-        try:
-            budget = BudgetManager(
-                run_wall_clock=args.run_timeout,
-                run_omega_cap=args.run_omega_budget,
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
     fault_plan = None
     if args.chaos:
         try:
@@ -200,9 +191,8 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-serve") -> int:
             pool = None
     service = SchedulingService(
         cache=cache,
-        options=SearchOptions(curtail=args.curtail, engine=args.engine),
+        options=options,
         budget=budget,
-        block_timeout=args.block_timeout,
         telemetry=telemetry,
         pool=pool,
         queue_limit=args.queue_limit,

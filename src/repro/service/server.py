@@ -49,8 +49,16 @@ answers ``200``/``503`` from the readiness checks (workers alive, cache
 store writable, engine probe, not draining); ``GET /v1/health`` reports
 both plus the ``service.*`` counters.
 
-Per-request ``deadline`` (seconds, optional) runs the batch under its
-own :class:`repro.resilience.budget.BudgetManager`: each block's
+Every entry is the wire view of one
+:func:`repro.resilience.budget.ladder_schedule` outcome, the function
+that also builds population records, so a block publishes the same rung
+inline, on a pool worker, or in ``repro experiments``.  The per-block
+wall-clock limit is the daemon's ``SearchOptions.time_limit``
+(``--block-timeout``).  The daemon's run budget (``--run-timeout``,
+``--run-omega-budget``) is checked in the front-end before a block is
+searched or submitted, in both modes.  Per-request ``deadline``
+(seconds, optional) runs the batch under its own
+:class:`repro.resilience.budget.BudgetManager`: each block's
 ``time_limit`` is clamped to the remaining request wall-clock and blocks
 past the deadline publish their list seeds with ``shed: true`` instead
 of searching.  Deadline-limited results bypass the cache (the outcome is
@@ -75,16 +83,18 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..experiments.runner import ladder_schedule
 from ..ir.dag import DependenceDAG
 from ..ir.textual import TupleSyntaxError, parse_block
 from ..machine.machine import MachineDescription, MachineValidationError
 from ..machine.presets import get_machine
 from ..machine.serialize import machine_from_dict
-from ..resilience.budget import STEP_LIST_SEED, BudgetManager
+from ..resilience.budget import (
+    BudgetManager,
+    LadderOutcome,
+    ladder_schedule,
+    seed_outcome,
+)
 from ..sched.core import check_engine, resolve_engine
-from ..sched.list_scheduler import list_schedule
-from ..sched.nop_insertion import compute_timing
 from ..sched.search import SearchOptions
 from ..telemetry import Telemetry
 from .cache import BYPASS, HIT, MISS, ScheduleCache
@@ -140,6 +150,25 @@ class ServiceDrainingError(RuntimeError):
         super().__init__("service is draining; not accepting new work")
 
 
+def _entry(name: str, out: LadderOutcome) -> Dict[str, Any]:
+    """The wire-entry view (sans ``index``) of one ladder outcome."""
+    return {
+        "name": name,
+        "order": list(out.timing.order),
+        "etas": list(out.timing.etas),
+        "issue_times": list(out.timing.issue_times),
+        "total_nops": out.final_nops,
+        "seed_nops": out.seed_nops,
+        "omega_calls": out.omega_calls,
+        "completed": out.completed,
+        "degraded": out.degraded,
+        "ladder": out.ladder,
+        "cache": BYPASS if out.cache_status is None else out.cache_status,
+        "shed": out.shed,
+        "worker_retries": 0,
+    }
+
+
 def seed_entry(
     name: str,
     dag: DependenceDAG,
@@ -149,28 +178,12 @@ def seed_entry(
 ) -> Dict[str, Any]:
     """The bottom-rung wire entry: the deterministic list-schedule seed.
 
-    Published when searching is off the table — the run budget is spent
-    before the block starts (``shed=True``), or the block burned through
-    its worker retries / the drain deadline (``shed=False``).  Honest by
-    construction: ``omega_calls=0``, ``degraded=True``.
+    Published when searching is off the table — the daemon's run budget
+    is spent before the block starts (``shed=True``), or the block burned
+    through its worker retries / the drain deadline (``shed=False``).
+    Honest by construction: ``omega_calls=0``, ``degraded=True``.
     """
-    timing = compute_timing(dag, list_schedule(dag), machine)
-    telemetry.count(f"resilience.ladder.{STEP_LIST_SEED}")
-    return {
-        "name": name,
-        "order": list(timing.order),
-        "etas": list(timing.etas),
-        "issue_times": list(timing.issue_times),
-        "total_nops": timing.total_nops,
-        "seed_nops": timing.total_nops,
-        "omega_calls": 0,
-        "completed": False,
-        "degraded": True,
-        "ladder": STEP_LIST_SEED,
-        "cache": BYPASS,
-        "shed": shed,
-        "worker_retries": 0,
-    }
+    return _entry(name, seed_outcome(dag, machine, telemetry, shed=shed))
 
 
 def execute_block(
@@ -186,40 +199,19 @@ def execute_block(
 
     The single per-block step shared by the inline path and the pool
     workers — what makes a pooled reply bit-identical to an inline one.
-    ``budget`` (when given) clamps the block's options to the remaining
-    request/run budget, enables the split-windows fallback, and is
-    charged for the Ω spent; once exhausted, blocks publish shed seed
-    entries without searching.
+    The entry is the wire view of
+    :func:`repro.resilience.budget.ladder_schedule`'s outcome, so a
+    block over its ``options.time_limit`` publishes the same rung here
+    as in a population record.  ``budget`` is the request's deadline
+    budget: once exhausted, blocks publish shed seed entries without
+    searching.
     """
-    if budget is not None:
-        if budget.run_exhausted() is not None:
-            telemetry.count("resilience.run_budget_exhausted")
-            return seed_entry(name, dag, machine, telemetry, shed=True)
-        options = budget.options_for_block(options)
     out = ladder_schedule(
         dag, machine, options, telemetry=telemetry, budget=budget, cache=cache
     )
-    if budget is not None:
-        budget.charge(out.omega_calls)
-    telemetry.count(f"resilience.ladder.{out.ladder}")
-    status = out.cache_status if out.cache_status is not None else BYPASS
-    if out.cache_status is None:
+    if out.cache_status is None and not out.shed:
         telemetry.count("service.cache.bypass")
-    return {
-        "name": name,
-        "order": list(out.timing.order),
-        "etas": list(out.timing.etas),
-        "issue_times": list(out.timing.issue_times),
-        "total_nops": out.final_nops,
-        "seed_nops": out.result.initial_nops,
-        "omega_calls": out.omega_calls,
-        "completed": out.result.completed and not out.degraded,
-        "degraded": out.degraded,
-        "ladder": out.ladder,
-        "cache": status,
-        "shed": False,
-        "worker_retries": 0,
-    }
+    return _entry(name, out)
 
 
 class SchedulingService:
@@ -237,7 +229,6 @@ class SchedulingService:
         cache: Optional[ScheduleCache] = None,
         options: SearchOptions = SearchOptions(),
         budget: Optional[BudgetManager] = None,
-        block_timeout: Optional[float] = None,
         telemetry: Optional[Telemetry] = None,
         pool: Optional[WorkerPool] = None,
         queue_limit: int = 32,
@@ -245,7 +236,6 @@ class SchedulingService:
         self.cache = cache
         self.options = options
         self.budget = budget
-        self.block_timeout = block_timeout
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.pool = pool
         self.queue_limit = queue_limit
@@ -373,10 +363,6 @@ class SchedulingService:
         options = self._resolve_options(payload.get("options"))
         req_budget = self._resolve_deadline(payload.get("deadline"))
         blocks = self._parse_blocks(payload.get("blocks"))
-        if self.block_timeout is not None:
-            import dataclasses
-
-            options = dataclasses.replace(options, time_limit=self.block_timeout)
 
         self._admit()
         try:
@@ -409,6 +395,28 @@ class SchedulingService:
             "stats": stats,
         }
 
+    def _admit_block(
+        self,
+        name: str,
+        dag: DependenceDAG,
+        machine: MachineDescription,
+        options: SearchOptions,
+    ) -> Tuple[Optional[Dict[str, Any]], SearchOptions]:
+        """The daemon run budget's gate, shared by inline and pooled mode.
+
+        Returns ``(entry, options)``: a shed seed entry once the daemon
+        budget is spent (the block is not searched), else ``None`` and
+        the block's options clamped to the daemon's remaining wall clock.
+        Callers hold ``self._lock`` and charge the Ω a searched block
+        spends back to ``self.budget``.
+        """
+        if self.budget is None:
+            return None, options
+        admitted = self.budget.admit(options, self.telemetry)
+        if admitted is None:
+            return seed_entry(name, dag, machine, self.telemetry, shed=True), options
+        return None, admitted
+
     def _schedule_inline(
         self,
         machine: MachineDescription,
@@ -420,21 +428,8 @@ class SchedulingService:
         with self._lock:
             for name, _text, block in blocks:
                 dag = DependenceDAG(block)
-                if (
-                    self.budget is not None
-                    and self.budget.run_exhausted() is not None
-                ):
-                    self.telemetry.count("resilience.run_budget_exhausted")
-                    entries.append(
-                        seed_entry(name, dag, machine, self.telemetry, shed=True)
-                    )
-                    continue
-                if req_budget is not None:
-                    block_options = (
-                        self.budget.options_for_block(options)
-                        if self.budget is not None
-                        else options
-                    )
+                entry, block_options = self._admit_block(name, dag, machine, options)
+                if entry is None:
                     entry = execute_block(
                         name,
                         dag,
@@ -446,16 +441,6 @@ class SchedulingService:
                     )
                     if self.budget is not None:
                         self.budget.charge(entry["omega_calls"])
-                else:
-                    entry = execute_block(
-                        name,
-                        dag,
-                        machine,
-                        options,
-                        self.telemetry,
-                        cache=self.cache,
-                        budget=self.budget,
-                    )
                 entries.append(entry)
         return entries
 
@@ -475,21 +460,11 @@ class SchedulingService:
         dedup: Dict[str, int] = {}
         for name, text, block in blocks:
             dag = DependenceDAG(block)
-            if (
-                self.budget is not None
-                and self.budget.run_exhausted() is not None
-            ):
-                with self._lock:
-                    self.telemetry.count("resilience.run_budget_exhausted")
-                    entry = seed_entry(name, dag, machine, self.telemetry, shed=True)
+            with self._lock:
+                entry, block_options = self._admit_block(name, dag, machine, options)
+            if entry is not None:
                 slots.append(("entry", entry))
                 continue
-            with self._lock:
-                block_options = (
-                    self.budget.options_for_block(options)
-                    if self.budget is not None
-                    else options
-                )
             key: Optional[str] = None
             if (
                 self.cache is not None

@@ -31,7 +31,9 @@ from repro.machine.presets import get_machine, paper_simulation_machine
 from repro.sched.exhaustive import legal_only_search
 from repro.sched.multi import first_pipeline_assignment
 from repro.sched.nop_insertion import SigmaResolver
+from repro.resilience import STEP_SPLIT
 from repro.sched.search import SearchOptions, root_lower_bound, schedule_block
+from repro.sched.splitting import schedule_block_split
 from repro.synth.kernels import KERNELS
 from repro.synth.population import PopulationSpec, sample_population
 from repro.verify import cli as verify_cli
@@ -154,25 +156,33 @@ def _largest_population_block(n=8, seed=1990):
     return max((next(gen) for _ in range(n)), key=len)
 
 
-def test_timed_out_block_degrades_to_seed_and_never_counts_optimal():
+def test_timed_out_block_walks_the_ladder_and_never_counts_optimal():
     gb = _largest_population_block()
     assert len(gb) >= 4
+    machine = paper_simulation_machine()
     # Root lower bounds can prove a seed optimal before any deadline
     # check runs; disable them so the search must actually descend.
     options = SearchOptions(
-        lower_bound_prune=False, heuristic_seeds=False, dominance_prune=False
+        lower_bound_prune=False,
+        heuristic_seeds=False,
+        dominance_prune=False,
+        time_limit=1e-9,
     )
     record = schedule_generated_block(
         0,
         gb,
-        paper_simulation_machine(),
+        machine,
         options,
-        block_timeout=1e-9,
-        verify=True,  # the published (seed) schedule must still certify
+        verify=True,  # the published (fallback) schedule must still certify
     )
     assert record.degraded
     assert not record.completed
-    assert record.final_nops == record.seed_nops
+    # The exact rung: this block's windows (1 NOP -> 0) beat its seed.
+    split = schedule_block_split(
+        DependenceDAG(gb.block), machine, window=20, curtail_per_window=2000
+    )
+    assert split.total_nops < record.seed_nops
+    assert (record.ladder, record.final_nops) == (STEP_SPLIT, split.total_nops)
 
 
 def test_untimed_block_is_not_degraded():

@@ -217,7 +217,8 @@ def test_time_limit_honored_by_fast_engine():
 
 def test_block_timeout_degrades_block_record():
     """Deadline-degraded blocks keep ``degraded=True, completed=False``
-    through ``BlockRecord``, and publish the list-schedule seed."""
+    through ``BlockRecord`` and publish the exact ladder rung: the
+    split-windows schedule when it beats the list seed, else the seed."""
     machine, members = _population(40, seed=9)
     telemetry = Telemetry()
     degraded = []
@@ -226,16 +227,27 @@ def test_block_timeout_degrades_block_record():
             index,
             gb,
             machine,
-            SearchOptions(engine="native"),
+            SearchOptions(engine="native", time_limit=1e-9),
             telemetry=telemetry,
-            block_timeout=1e-9,
         )
         if record.degraded:
-            degraded.append(record)
+            degraded.append((gb, record))
     assert degraded, "a 1ns block timeout never degraded a block"
-    for record in degraded:
+    rungs = set()
+    for gb, record in degraded:
         assert not record.completed
-        assert record.final_nops == record.seed_nops
+        split = schedule_block_split(
+            DependenceDAG(gb.block), machine, window=20, curtail_per_window=2000
+        ).total_nops
+        if split < record.seed_nops:
+            assert (record.ladder, record.final_nops) == ("split-windows", split)
+        else:
+            assert (record.ladder, record.final_nops) == (
+                "list-seed",
+                record.seed_nops,
+            )
+        rungs.add(record.ladder)
+    assert "split-windows" in rungs
     assert telemetry.counters["blocks.degraded"] == len(degraded)
 
 

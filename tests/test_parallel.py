@@ -3,8 +3,8 @@
 The contract under test: ``run_population_parallel`` is a drop-in for
 ``run_population`` — same records, same order, byte-identical once the
 wall-clock field is normalized — plus graceful degradation (per-block
-timeouts fall back to the list-schedule seed, a broken pool falls back
-to the serial runner).
+timeouts walk the degradation ladder as they would serially, a broken
+pool falls back to the serial runner).
 """
 
 import json
@@ -15,11 +15,13 @@ import pytest
 from repro.experiments import parallel
 from repro.experiments.parallel import default_workers, run_population_parallel
 from repro.experiments.runner import run_population, schedule_generated_block
+from repro.ir.dag import DependenceDAG
 from repro.ir.textual import parse_block
 from repro.machine.presets import paper_simulation_machine
 from repro.sched.search import SearchOptions
+from repro.sched.splitting import schedule_block_split
 from repro.synth.generator import GeneratedBlock
-from repro.synth.population import sample_population_params
+from repro.synth.population import generate_from_params, sample_population_params
 from repro.telemetry import Telemetry
 
 N_BLOCKS = 100
@@ -88,26 +90,39 @@ class TestEquivalence:
 
 
 class TestTimeoutDegradation:
-    def test_blocks_over_budget_degrade_to_seed(self):
+    OPTIONS = SearchOptions(curtail=10**9, time_limit=1e-6)
+
+    def test_blocks_over_budget_walk_the_ladder(self):
+        # Truncation is timeout-only (never curtailed); every degraded
+        # block publishes the exact ladder rung: its section-5.3 windows
+        # when they beat the list seed, else the seed itself.
         par = run_population_parallel(
-            20,
-            curtail=10**9,  # never curtailed: truncation is timeout-only
-            master_seed=SEED,
-            workers=2,
-            block_timeout=1e-6,
+            20, master_seed=SEED, options=self.OPTIONS, workers=2
         )
+        assert len(par) == 20
+        machine = paper_simulation_machine()
+        blocks = [
+            generate_from_params(p).block
+            for p in sample_population_params(20, SEED)
+        ]
         degraded = [r for r in par if not r.completed]
         # A 1 microsecond budget expires before the first DFS expansion,
         # so every block the root bound cannot prove outright degrades.
         assert degraded
         for r in degraded:
-            assert r.final_nops == r.seed_nops
-        assert len(par) == 20
+            split = schedule_block_split(
+                DependenceDAG(blocks[r.index]),
+                machine,
+                window=20,
+                curtail_per_window=2000,
+            ).total_nops
+            if split < r.seed_nops:
+                assert (r.ladder, r.final_nops) == ("split-windows", split)
+            else:
+                assert (r.ladder, r.final_nops) == ("list-seed", r.seed_nops)
 
     def test_degradation_is_deterministic(self):
-        kwargs = dict(
-            curtail=10**9, master_seed=SEED, workers=2, block_timeout=1e-6
-        )
+        kwargs = dict(master_seed=SEED, options=self.OPTIONS, workers=2)
         assert run_population_parallel(20, **kwargs) == run_population_parallel(
             20, **kwargs
         )
@@ -116,10 +131,9 @@ class TestTimeoutDegradation:
         telemetry = Telemetry()
         run_population_parallel(
             20,
-            curtail=10**9,
             master_seed=SEED,
+            options=self.OPTIONS,
             workers=2,
-            block_timeout=1e-6,
             telemetry=telemetry,
         )
         assert telemetry.counters["blocks.degraded"] > 0

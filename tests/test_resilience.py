@@ -27,7 +27,6 @@ from repro.resilience import (
     STEP_LIST_SEED,
     STEP_OPTIMAL,
     STEP_SPLIT,
-    BlockBudget,
     BudgetManager,
     ChunkSupervisor,
     FaultPlan,
@@ -37,7 +36,9 @@ from repro.resilience import (
     load_journal,
     validate_records,
 )
+from repro.ir.dag import DependenceDAG
 from repro.sched.search import SearchOptions
+from repro.sched.splitting import schedule_block_split
 from repro.synth.population import generate_from_params, sample_population_params
 from repro.telemetry import Telemetry
 
@@ -181,25 +182,25 @@ class TestJournal:
 # ----------------------------------------------------------------------
 class TestBudgetManager:
     def test_block_clamps(self):
-        budget = BudgetManager(
-            block=BlockBudget(wall_clock=2.0, omega_cap=500, memo_cap=100)
-        )
-        options = budget.options_for_block(SearchOptions(curtail=50_000))
+        # The run deadline caps a block's time limit; it never touches
+        # the block's own limits (curtail point, memo cap).
+        budget = BudgetManager(run_wall_clock=2.0).start()
+        options = budget.admit(SearchOptions(curtail=500, max_memo_entries=100))
+        assert 0 < options.time_limit <= 2.0
         assert options.curtail == 500
-        assert options.time_limit == 2.0
         assert options.max_memo_entries == 100
+        looser = budget.admit(SearchOptions(time_limit=60.0))
+        assert 0 < looser.time_limit <= 2.0
 
     def test_no_budget_returns_same_options(self):
-        options = SearchOptions()
-        assert BudgetManager().options_for_block(options) is options
+        options = SearchOptions(time_limit=5.0)
+        assert BudgetManager().admit(options) is options
+        assert BudgetManager(run_omega_cap=10).start().admit(options) is options
 
     def test_caller_tighter_limits_win(self):
-        budget = BudgetManager(block=BlockBudget(wall_clock=10.0, omega_cap=5000))
-        options = budget.options_for_block(
-            SearchOptions(curtail=100, time_limit=0.5)
-        )
-        assert options.curtail == 100
-        assert options.time_limit == 0.5
+        budget = BudgetManager(run_wall_clock=10.0).start()
+        options = SearchOptions(curtail=100, time_limit=0.5)
+        assert budget.admit(options) is options
 
     def test_run_omega_cap_exhaustion(self):
         budget = BudgetManager(run_omega_cap=100).start()
@@ -212,10 +213,10 @@ class TestBudgetManager:
     def test_run_wall_clock_exhaustion(self):
         budget = BudgetManager(run_wall_clock=1e-9).start()
         assert budget.run_exhausted() == "wall-clock"
-        # Remaining run time also clamps the next block's deadline
-        # (floored at a tiny positive value — never an invalid limit).
-        options = budget.options_for_block(SearchOptions())
-        assert options.time_limit == pytest.approx(1e-9)
+        # Past the run deadline the gate turns every block away.
+        telemetry = Telemetry()
+        assert budget.admit(SearchOptions(time_limit=5.0), telemetry) is None
+        assert telemetry.counters["resilience.run_budget_exhausted"] == 1
 
     def test_unarmed_budget_never_exhausts(self):
         budget = BudgetManager(run_wall_clock=1e-9)  # start() never called
@@ -231,14 +232,47 @@ class TestBudgetManager:
         assert budget.omega_spent == 99
 
     def test_validation(self):
+        for bad in (0, -1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive, finite"):
+                BudgetManager(run_wall_clock=bad)
+            with pytest.raises(ValueError, match="positive, finite"):
+                SearchOptions(time_limit=bad)
         with pytest.raises(ValueError):
-            BlockBudget(wall_clock=0)
-        with pytest.raises(ValueError):
-            BlockBudget(omega_cap=0)
-        with pytest.raises(ValueError):
-            BudgetManager(run_wall_clock=-1)
-        with pytest.raises(ValueError):
-            BudgetManager(split_window=0)
+            BudgetManager(run_omega_cap=0)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "prog, flag",
+    [
+        ("repro-experiments", "--block-timeout"),
+        ("repro-experiments", "--run-timeout"),
+        ("repro-serve", "--block-timeout"),
+        ("repro-serve", "--run-timeout"),
+    ],
+)
+def test_bad_time_budget_is_a_clean_cli_error(capsys, prog, flag, value):
+    """A time budget that is not a positive, finite number of seconds is
+    a usage error in both CLIs: exit 2 and one error line naming the
+    problem, before any block is scheduled or any socket bound."""
+    if prog == "repro-serve":
+        from repro.service.cli import main
+
+        argv = ["--workers", "2", flag, value]
+    else:
+        from repro.experiments.cli import main
+
+        argv = ["table7", "--blocks", "4", "--workers", "2", flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"{prog}: error: ")
+    assert "must be a positive, finite number of seconds" in errors[0]
+    assert captured.out == ""
 
 
 # ----------------------------------------------------------------------
@@ -362,9 +396,8 @@ class TestLadderRungs:
         assert record.final_nops <= record.seed_nops
 
     def test_split_windows(self, engine):
-        budget = BudgetManager(block=BlockBudget(wall_clock=1e-9)).start()
         record = _record(
-            1, options=SearchOptions(engine=engine), budget=budget
+            1, options=SearchOptions(engine=engine, time_limit=1e-9)
         )
         assert record.ladder == STEP_SPLIT
         assert record.degraded and not record.completed
@@ -372,15 +405,29 @@ class TestLadderRungs:
         assert record.omega_calls > 0  # split windows were searched
 
     def test_list_seed(self, engine):
-        budget = BudgetManager(
-            block=BlockBudget(wall_clock=1e-9), split_fallback=False
-        ).start()
-        record = _record(
-            1, options=SearchOptions(engine=engine), budget=budget
+        # Block 15 (22 tuples, seed 6 NOPs, optimum 0) times out with
+        # the root bounds and heuristic seeds off, and its two windows
+        # cannot beat the seed: the seed stands.
+        options = SearchOptions(
+            engine=engine,
+            time_limit=1e-9,
+            lower_bound_prune=False,
+            heuristic_seeds=False,
+            dominance_prune=False,
         )
+        split = schedule_block_split(
+            DependenceDAG(_block(15).block),
+            MACHINE,
+            window=20,
+            curtail_per_window=2000,
+            engine=engine,
+        )
+        record = _record(15, options=options)
         assert record.ladder == STEP_LIST_SEED
         assert record.degraded and not record.completed
-        assert record.final_nops == record.seed_nops == 5
+        assert record.final_nops == record.seed_nops == 6
+        assert split.total_nops >= record.seed_nops
+        assert record.omega_calls >= split.omega_calls > 0  # windows searched
 
     def test_engines_agree_per_rung(self, engine):
         # The rung records above are engine-independent bit for bit
@@ -391,13 +438,70 @@ class TestLadderRungs:
         for build in (
             lambda e: _record(5, options=SearchOptions(engine=e)),
             lambda e: _record(11, options=SearchOptions(curtail=120, engine=e)),
-            lambda e: _record(
-                1,
-                options=SearchOptions(engine=e),
-                budget=BudgetManager(block=BlockBudget(wall_clock=1e-9)).start(),
-            ),
+            lambda e: _record(1, options=SearchOptions(engine=e, time_limit=1e-9)),
         ):
             assert build("reference") == build("fast")
+
+
+def _parity_entry(budget, pooled):
+    from repro.ir.textual import format_block
+    from repro.service import SchedulingService, WorkerPool
+    from repro.service.server import SCHEMA
+
+    pool = WorkerPool(1).start() if pooled else None
+    try:
+        service = SchedulingService(
+            options=SearchOptions(time_limit=1e-9), budget=budget, pool=pool
+        )
+        reply = service.schedule_batch(
+            {
+                "schema": SCHEMA,
+                "machine": "paper-simulation",
+                "blocks": [{"tuples": format_block(_block(1).block)}],
+            }
+        )
+    finally:
+        if pool is not None:
+            pool.stop(drain_timeout=5.0)
+    entry = reply["entries"][0]
+    return entry["ladder"], entry["total_nops"]
+
+
+def _parity_record(workers):
+    from repro.experiments.parallel import run_population_parallel
+
+    options = SearchOptions(time_limit=1e-9)
+    if workers is None:
+        record = schedule_generated_block(1, _block(1), MACHINE, options)
+    else:
+        record = run_population_parallel(
+            2, master_seed=SEED, options=options, workers=workers
+        )[1]
+    return record.ladder, record.final_nops
+
+
+#: Every way to schedule one block under a per-block deadline.  The rung
+#: must not depend on which entry point (or process) ran the search, nor
+#: on whether a daemon run budget is also in force.
+PARITY_ENTRY_POINTS = {
+    "schedule_generated_block": lambda: _parity_record(workers=None),
+    "run_population_parallel": lambda: _parity_record(workers=2),
+    "inline-service": lambda: _parity_entry(None, pooled=False),
+    "inline-service-run-budget": lambda: _parity_entry(
+        BudgetManager(run_wall_clock=3600.0), pooled=False
+    ),
+    "pooled-service": lambda: _parity_entry(None, pooled=True),
+    "pooled-service-run-budget": lambda: _parity_entry(
+        BudgetManager(run_wall_clock=3600.0), pooled=True
+    ),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(PARITY_ENTRY_POINTS))
+def test_rung_parity_across_entry_points(entry_point):
+    """Block 1 under a 1ns deadline: its windows beat its seed (5 -> 3)
+    whichever entry point schedules it."""
+    assert PARITY_ENTRY_POINTS[entry_point]() == (STEP_SPLIT, 3)
 
 
 class TestLadderIntegration:
