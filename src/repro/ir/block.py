@@ -8,16 +8,18 @@ schedulers permute this order subject to the dependence DAG.
 Blocks validate their internal references eagerly: every ``RefOperand``
 must point at an *earlier* tuple in program order (the linear notation
 embeds a DAG, section 3.1), reference numbers must be unique, and Store
-targets must name variables.
+targets must name variables.  :class:`BlockBuilder` runs the same checks
+tuple by tuple as it emits, so a built block is never walked twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .ops import Opcode
-from .tuples import IRTuple, RefOperand, VarOperand
+from .tuples import ConstOperand, IRTuple, RefOperand, VarOperand
 
 
 class BlockValidationError(ValueError):
@@ -110,6 +112,12 @@ class BasicBlock:
         """Reference numbers in program order."""
         return tuple(t.ident for t in self.tuples)
 
+    @cached_property
+    def densely_numbered(self) -> bool:
+        """True when the tuples are numbered 1..n in program order — the
+        form lowering and every optimization pass produce."""
+        return all(t.ident == i for i, t in enumerate(self.tuples, 1))
+
     # ------------------------------------------------------------------
     # Variable views
     # ------------------------------------------------------------------
@@ -157,13 +165,11 @@ class BasicBlock:
                 "reorder must be a permutation of the block's tuples"
             )
         reordered = tuple(self.by_ident(i) for i in order)
-        block = object.__new__(BasicBlock)
-        object.__setattr__(block, "tuples", reordered)
-        object.__setattr__(block, "name", self.name)
-        object.__setattr__(
-            block, "_index", {t.ident: pos for pos, t in enumerate(reordered)}
+        return _unchecked_block(
+            reordered,
+            self.name,
+            {t.ident: pos for pos, t in enumerate(reordered)},
         )
-        return block
 
     def renumbered(self) -> "BasicBlock":
         """A new block with tuples renumbered densely 1..n in program order.
@@ -198,51 +204,147 @@ def _remap(operand, mapping):
     return operand
 
 
+def _unchecked_block(
+    tuples: tuple[IRTuple, ...], name: str, index: Dict[int, int]
+) -> BasicBlock:
+    """A block over ``tuples`` whose consistency the caller already owns."""
+    block = object.__new__(BasicBlock)
+    object.__setattr__(block, "tuples", tuples)
+    object.__setattr__(block, "name", name)
+    object.__setattr__(block, "_index", index)
+    return block
+
+
+def _dense_block(tuples: tuple[IRTuple, ...], name: str) -> BasicBlock:
+    """An unchecked block over ``tuples`` numbered 1..n in order."""
+    return _unchecked_block(tuples, name, {t.ident: t.ident - 1 for t in tuples})
+
+
 class BlockBuilder:
     """Incremental construction of a basic block with automatic numbering.
 
-    The front end and the synthetic generator both emit tuples one at a
-    time; the builder hands out reference numbers and performs the final
-    validation once.
+    The front end, the optimization passes and the synthetic generators
+    emit tuples one at a time; the builder hands out reference numbers
+    1..n and validates each tuple as it is emitted, against the tuples
+    already emitted, with :meth:`BasicBlock._validate`'s checks and
+    messages.  Numbering is dense, so every reference below the new
+    tuple's own number exists: a reference at or above it is a forward
+    reference.  :meth:`build` then trusts what it was given.
+
+    ``source`` makes the builder copy-on-write: a pass rewriting
+    ``source`` passes it in, and while every emit repeats the source
+    tuple at the same position the builder only counts.  At the first
+    tuple that differs it copies the shared prefix and carries on as a
+    plain builder; :meth:`build` returns ``source`` itself when the whole
+    block was repeated.  Sharing needs a densely numbered source (else
+    a repeated tuple would not keep its number); other sources are
+    ignored.
     """
 
-    def __init__(self, name: str = "block"):
+    def __init__(self, name: str = "block", source: Optional[BasicBlock] = None):
         self._tuples: List[IRTuple] = []
         self._name = name
+        self._source: Optional[BasicBlock] = None
+        #: Leading source tuples repeated so far, while still sharing.
+        self._shared = 0
+        if source is not None and source.densely_numbered:
+            self._source = source
 
     @property
     def next_ident(self) -> int:
-        return len(self._tuples) + 1
+        return len(self) + 1
+
+    def _repeat(self) -> Optional[IRTuple]:
+        """The source tuple the next emit would repeat, while sharing."""
+        source = self._source
+        if source is not None and self._shared < len(source.tuples):
+            return source.tuples[self._shared]
+        return None
+
+    def _share(self) -> int:
+        self._shared += 1
+        return self._shared
 
     def emit(self, op: Opcode, alpha=None, beta=None) -> int:
-        """Append a tuple; returns its reference number."""
-        ident = self.next_ident
-        self._tuples.append(IRTuple(ident, op, alpha, beta))
+        """Append a tuple; returns its reference number.
+
+        Raises :class:`BlockValidationError` when an operand references a
+        tuple that does not precede this one or produces no value.
+        """
+        src = self._repeat()
+        if src is not None and src.op is op and src.alpha == alpha and src.beta == beta:
+            return self._share()
+        if self._source is not None:
+            self._tuples = list(self._source.tuples[: self._shared])
+            self._source = None
+        tuples = self._tuples
+        ident = len(tuples) + 1
+        t = IRTuple(ident, op, alpha, beta)
+        for ref in t.value_refs:
+            if ref >= ident:
+                raise BlockValidationError(
+                    f"tuple {ident} references tuple {ref} which does "
+                    "not precede it in program order"
+                )
+            target = tuples[ref - 1]
+            if not target.op.produces_value:
+                raise BlockValidationError(
+                    f"tuple {ident} references tuple {ref} "
+                    f"({target.op.value}) which produces no value"
+                )
+        tuples.append(t)
         return ident
 
     def emit_const(self, value: int) -> int:
-        from .tuples import ConstOperand
-
+        src = self._repeat()
+        if src is not None and src.op is Opcode.CONST and src.alpha.value == value:
+            return self._share()
         return self.emit(Opcode.CONST, ConstOperand(value))
 
     def emit_load(self, var: str) -> int:
+        src = self._repeat()
+        if src is not None and src.op is Opcode.LOAD and src.alpha.name == var:
+            return self._share()
         return self.emit(Opcode.LOAD, VarOperand(var))
 
     def emit_store(self, var: str, ref: int) -> int:
+        src = self._repeat()
+        if (
+            src is not None
+            and src.op is Opcode.STORE
+            and src.alpha.name == var
+            and src.value_refs == (ref,)
+        ):
+            return self._share()
         return self.emit(Opcode.STORE, VarOperand(var), RefOperand(ref))
 
     def emit_binary(self, op: Opcode, a: int, b: int) -> int:
+        src = self._repeat()
+        if src is not None and src.op is op and src.value_refs == (a, b):
+            return self._share()
         return self.emit(op, RefOperand(a), RefOperand(b))
 
     def emit_unary(self, op: Opcode, a: int) -> int:
+        src = self._repeat()
+        if src is not None and src.op is op and src.value_refs == (a,):
+            return self._share()
         return self.emit(op, RefOperand(a))
 
     def tuple_at(self, ident: int) -> IRTuple:
         """The already-emitted tuple numbered ``ident``."""
+        if self._source is not None:
+            if not 1 <= ident <= self._shared:
+                raise IndexError(f"no tuple numbered {ident} emitted yet")
+            return self._source.tuples[ident - 1]
         return self._tuples[ident - 1]
 
     def build(self) -> BasicBlock:
-        return BasicBlock(self._tuples, self._name)
+        source = self._source
+        if source is None:
+            return _dense_block(tuple(self._tuples), self._name)
+        if self._shared == len(source.tuples) and source.name == self._name:
+            return source
+        return _dense_block(source.tuples[: self._shared], self._name)
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return self._shared if self._source is not None else len(self._tuples)

@@ -19,7 +19,7 @@ A tuple with no operand in a slot stores ``None`` (the paper's ∅).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .ops import Opcode
@@ -73,42 +73,57 @@ class IRTuple:
     Instances are immutable; optimization passes build new tuples rather
     than mutating existing ones, which keeps blocks safely shareable
     between the scheduler's many candidate orderings.
+
+    ``value_refs`` is derived from the operands once, at construction: it
+    takes no part in equality, hashing, ``repr`` or pickling, which all
+    see only ``(ident, op, alpha, beta)``.
     """
 
     ident: int
     op: Opcode
     alpha: Optional[Operand] = None
     beta: Optional[Operand] = None
+    #: Reference numbers of tuples whose *results* this tuple consumes.
+    value_refs: tuple[int, ...] = field(
+        init=False, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.ident < 1:
             raise ValueError("tuple reference numbers start at 1")
-        self._check_shape()
+        object.__setattr__(self, "value_refs", self._check_shape())
+
+    def __reduce__(self):
+        return (IRTuple, (self.ident, self.op, self.alpha, self.beta))
 
     # ------------------------------------------------------------------
-    def _check_shape(self) -> None:
+    def _check_shape(self) -> tuple[int, ...]:
+        """Validate the operand shape of ``op``; returns the value refs."""
         op = self.op
         if op is Opcode.CONST:
             if not isinstance(self.alpha, ConstOperand) or self.beta is not None:
                 raise ValueError("Const expects a single literal operand")
-        elif op is Opcode.LOAD:
+            return ()
+        if op is Opcode.LOAD:
             if not isinstance(self.alpha, VarOperand) or self.beta is not None:
                 raise ValueError("Load expects a single variable operand")
-        elif op is Opcode.STORE:
+            return ()
+        if op is Opcode.STORE:
             if not isinstance(self.alpha, VarOperand):
                 raise ValueError("Store expects a variable in alpha")
             if not isinstance(self.beta, RefOperand):
                 raise ValueError("Store expects a tuple reference in beta")
-        elif op in (Opcode.COPY, Opcode.NEG):
+            return (self.beta.ref,)
+        if op in (Opcode.COPY, Opcode.NEG):
             if not isinstance(self.alpha, RefOperand) or self.beta is not None:
                 raise ValueError(f"{op.value} expects a single tuple reference")
-        else:  # binary arithmetic
-            if not isinstance(self.alpha, RefOperand) or not isinstance(
-                self.beta, RefOperand
-            ):
-                raise ValueError(
-                    f"{op.value} expects two tuple-reference operands"
-                )
+            return (self.alpha.ref,)
+        # binary arithmetic
+        if not isinstance(self.alpha, RefOperand) or not isinstance(
+            self.beta, RefOperand
+        ):
+            raise ValueError(f"{op.value} expects two tuple-reference operands")
+        return (self.alpha.ref, self.beta.ref)
 
     # ------------------------------------------------------------------
     @property
@@ -120,15 +135,6 @@ class IRTuple:
         if self.beta is not None:
             out.append(self.beta)
         return tuple(out)
-
-    @property
-    def value_refs(self) -> tuple[int, ...]:
-        """Reference numbers of tuples whose *results* this tuple consumes."""
-        return tuple(
-            operand.ref
-            for operand in self.operands
-            if isinstance(operand, RefOperand)
-        )
 
     @property
     def variable(self) -> Optional[str]:

@@ -21,8 +21,9 @@ from ..ir.tuples import ConstOperand, RefOperand, VarOperand
 
 
 def eliminate_common_subexpressions(block: BasicBlock) -> BasicBlock:
-    """Apply local value numbering once; returns a renumbered block."""
-    builder = BlockBuilder(block.name)
+    """Apply local value numbering once; returns a block numbered 1..n
+    (``block`` itself when that changes nothing)."""
+    builder = BlockBuilder(block.name, source=block)
     sub: Dict[int, int] = {}  # old ref -> new ref
     available: Dict[Tuple, int] = {}  # value key -> new ref
     store_epoch: Dict[str, int] = {}

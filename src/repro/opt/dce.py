@@ -11,15 +11,17 @@ stored variables, so:
   when unused because eliminating it could erase a division-by-zero
   fault (matching the interpreter's semantics).
 
-Returns a renumbered block.
+Returns a block numbered 1..n: the input itself when it already is and
+nothing is dead.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from ..ir.block import BasicBlock
+from ..ir.block import BasicBlock, BlockBuilder
 from ..ir.ops import Opcode
+from ..ir.tuples import RefOperand
 
 
 def eliminate_dead_code(
@@ -61,4 +63,16 @@ def eliminate_dead_code(
         if (t.ident in needed)
         or (t.op is Opcode.STORE and t.ident in live_stores)
     ]
-    return BasicBlock(keep, block.name).renumbered()
+    if len(keep) == len(block) and block.densely_numbered:
+        return block
+    builder = BlockBuilder(block.name, source=block)
+    new_ref: Dict[int, int] = {}
+    for t in keep:
+        alpha = t.alpha
+        beta = t.beta
+        if isinstance(alpha, RefOperand):
+            alpha = RefOperand(new_ref[alpha.ref])
+        if isinstance(beta, RefOperand):
+            beta = RefOperand(new_ref[beta.ref])
+        new_ref[t.ident] = builder.emit(t.op, alpha, beta)
+    return builder.build()

@@ -14,8 +14,9 @@ One forward walk over the block that simultaneously:
 Division is folded only when the divisor is a non-zero constant, so a
 potential arithmetic fault is never optimized away.
 
-The pass returns a renumbered block; dead tuples it orphans (e.g. the
-operands of a folded expression) are left for DCE.
+The pass returns a block numbered 1..n (the input itself when nothing
+changes, see :class:`~repro.ir.block.BlockBuilder`); dead tuples it
+orphans (e.g. the operands of a folded expression) are left for DCE.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from ..ir.tuples import ConstOperand, RefOperand, VarOperand
 
 def fold_constants(block: BasicBlock) -> BasicBlock:
     """Apply constant folding + value propagation once."""
-    builder = BlockBuilder(block.name)
+    builder = BlockBuilder(block.name, source=block)
     # Substitution from old reference numbers to new ones.
     sub: Dict[int, int] = {}
     # New refs known to be constants, and their values.

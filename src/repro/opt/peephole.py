@@ -33,8 +33,9 @@ from ..ir.tuples import ConstOperand, RefOperand, VarOperand
 def peephole_optimize(
     block: BasicBlock, strength_reduce: bool = True
 ) -> BasicBlock:
-    """Apply the algebraic rewrites once; returns a renumbered block."""
-    builder = BlockBuilder(block.name)
+    """Apply the algebraic rewrites once; returns a block numbered 1..n
+    (``block`` itself when that changes nothing)."""
+    builder = BlockBuilder(block.name, source=block)
     sub: Dict[int, int] = {}
     const_of: Dict[int, int] = {}  # new ref -> constant value (if Const)
 

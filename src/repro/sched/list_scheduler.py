@@ -28,47 +28,42 @@ program order.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Tuple
+import heapq
+from typing import List, Tuple
 
 from ..ir.dag import DependenceDAG
 
 
 def list_schedule(dag: DependenceDAG) -> Tuple[int, ...]:
-    """Machine-independent seed schedule maximizing dependence distances."""
+    """Machine-independent seed schedule maximizing dependence distances.
+
+    The distance from a ready tuple to its nearest producer is ``step -
+    nearest``, where ``nearest`` is that producer's position in the
+    order; every ready tuple shifts by the same amount each step, so
+    ranking by ``nearest`` (``-1`` for roots, which sort first) is the
+    same as ranking by distance.  A tuple's ``nearest`` is fixed once it
+    becomes ready — it is the position of the producer whose issue made
+    it ready — so each tuple's key is computed once and kept on a heap.
+    """
     heights = dag.heights
     descendants = dag.descendants
     position = dag.block.position_of
-    scheduled_at: Dict[int, int] = {}
 
-    def priority(ident: int):
-        preds = dag.rho(ident)
-        # Distance to the *nearest* (most recently issued) producer;
-        # larger is better, so negate for min-sort.  Roots are unbounded.
-        if preds:
-            nearest = max(scheduled_at[p] for p in preds)
-            distance = len(scheduled_at) - nearest
-        else:
-            distance = math.inf
-        return (
-            -distance,
-            -heights[ident],
-            -len(descendants[ident]),
-            position(ident),
-        )
+    def key(ident: int, nearest: int):
+        return (nearest, -heights[ident], -len(descendants[ident]), position(ident), ident)
 
     indegree = {i: len(dag.rho(i)) for i in dag.idents}
-    ready: List[int] = [i for i in dag.idents if indegree[i] == 0]
+    ready = [key(i, -1) for i in dag.idents if indegree[i] == 0]
+    heapq.heapify(ready)
     order: List[int] = []
     while ready:
-        ready.sort(key=priority)
-        chosen = ready.pop(0)
-        scheduled_at[chosen] = len(order)
+        chosen = heapq.heappop(ready)[-1]
+        nearest = len(order)
         order.append(chosen)
         for succ in dag.successors(chosen):
             indegree[succ] -= 1
             if indegree[succ] == 0:
-                ready.append(succ)
+                heapq.heappush(ready, key(succ, nearest))
     if len(order) != len(dag):
         raise AssertionError("dependence DAG contains a cycle")  # pragma: no cover
     return tuple(order)

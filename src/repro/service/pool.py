@@ -252,6 +252,11 @@ class WorkerPool:
         self._next_seq = 0
         self._stopping = False
         self._thread: Optional[threading.Thread] = None
+        # Self-pipe: submit() and stop() write one byte to wake the
+        # dispatcher, which otherwise sleeps on worker pipes for up to
+        # ``poll_interval``.  At most one wake byte is ever in flight.
+        self._wake_r, self._wake_w = Pipe(duplex=False)
+        self._wake_pending = False
 
     def attach_telemetry(self, telemetry: Telemetry, lock: threading.Lock) -> None:
         """Point the pool at the service's registry and its guard lock.
@@ -319,6 +324,7 @@ class WorkerPool:
                 job.seq = self._next_seq
                 self._next_seq += 1
                 self._queue.append(job)
+            self._wake_locked()
 
     def wait(self, job: PoolJob) -> None:
         """Block until ``job`` resolves (entry or degraded failure).
@@ -354,6 +360,11 @@ class WorkerPool:
             except Exception:  # noqa: BLE001 - observability must not kill supervision
                 pass
 
+    def _wake_locked(self) -> None:
+        if not self._wake_pending:
+            self._wake_pending = True
+            self._wake_w.send_bytes(b"\0")
+
     def _loop(self) -> None:
         poll = self.config.poll_interval
         while True:
@@ -363,12 +374,13 @@ class WorkerPool:
                 ):
                     break
                 conns = [w.conn for w in self._workers.values()]
-            if conns:
-                mp_connection.wait(conns, timeout=poll)
-            else:
-                time.sleep(poll)
+            conns.append(self._wake_r)
+            mp_connection.wait(conns, timeout=poll)
             now = time.monotonic()
             with self._lock:
+                if self._wake_pending:
+                    self._wake_r.recv_bytes()
+                    self._wake_pending = False
                 self._drain_replies_locked(now)
                 self._check_workers_locked(now)
                 self._dispatch_locked(now)
@@ -540,7 +552,9 @@ class WorkerPool:
         terminates the fleet.  Idempotent.
         """
         with self._lock:
-            self._stopping = True
+            if not self._stopping:
+                self._stopping = True
+                self._wake_locked()
         deadline = time.monotonic() + max(0.0, drain_timeout)
         while time.monotonic() < deadline:
             with self._lock:
@@ -600,4 +614,7 @@ class WorkerPool:
                 proc.join(timeout=5.0)
         if self._thread is not None:
             self._thread.join(timeout=5.0)
+        if self._thread is None or not self._thread.is_alive():
+            self._wake_r.close()
+            self._wake_w.close()
         return forced

@@ -69,7 +69,10 @@ canonical form is scheduled and stored, every later occurrence — in the
 same batch, a later batch, or a population run sharing the same disk
 store — is a hit.  In pool mode only workers write through the
 certificate-verified :class:`repro.service.cache.ScheduleCache`, so the
-shared store stays consistent no matter which worker dies when.
+shared store stays consistent no matter which worker dies when, and a
+block whose tuple text and options repeat an earlier block of the same
+batch is not submitted again: it publishes that block's schedule under
+its own name.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..ir.block import BasicBlock
 from ..ir.dag import DependenceDAG
 from ..ir.textual import TupleSyntaxError, parse_block
 from ..machine.machine import MachineDescription, MachineValidationError
@@ -98,7 +102,6 @@ from ..sched.core import check_engine, resolve_engine
 from ..sched.search import SearchOptions
 from ..telemetry import Telemetry
 from .cache import BYPASS, HIT, MISS, ScheduleCache
-from .fingerprint import fingerprint_problem
 from .pool import PoolJob, PoolSaturated, WorkerPool
 
 __all__ = [
@@ -398,7 +401,7 @@ class SchedulingService:
     def _admit_block(
         self,
         name: str,
-        dag: DependenceDAG,
+        block: BasicBlock,
         machine: MachineDescription,
         options: SearchOptions,
     ) -> Tuple[Optional[Dict[str, Any]], SearchOptions]:
@@ -414,7 +417,10 @@ class SchedulingService:
             return None, options
         admitted = self.budget.admit(options, self.telemetry)
         if admitted is None:
-            return seed_entry(name, dag, machine, self.telemetry, shed=True), options
+            entry = seed_entry(
+                name, DependenceDAG(block), machine, self.telemetry, shed=True
+            )
+            return entry, options
         return None, admitted
 
     def _schedule_inline(
@@ -427,12 +433,11 @@ class SchedulingService:
         entries: List[Dict[str, Any]] = []
         with self._lock:
             for name, _text, block in blocks:
-                dag = DependenceDAG(block)
-                entry, block_options = self._admit_block(name, dag, machine, options)
+                entry, block_options = self._admit_block(name, block, machine, options)
                 if entry is None:
                     entry = execute_block(
                         name,
-                        dag,
+                        DependenceDAG(block),
                         machine,
                         block_options,
                         self.telemetry,
@@ -453,30 +458,27 @@ class SchedulingService:
         req_budget: Optional[BudgetManager],
     ) -> List[Dict[str, Any]]:
         # slots[i] resolves blocks[i]: ("entry", dict) is already final,
-        # ("job", PoolJob, dag) awaits a worker, ("dup", j) copies the
-        # first occurrence of the same canonical form in this batch.
+        # ("job", PoolJob, block) awaits a worker, ("dup", j, name) copies
+        # blocks[j], an earlier block of this batch with the same tuple
+        # text and options, under its own name.
         slots: List[Tuple[Any, ...]] = []
         jobs: List[PoolJob] = []
-        dedup: Dict[str, int] = {}
+        dedup: Dict[Tuple[str, SearchOptions], int] = {}
         for name, text, block in blocks:
-            dag = DependenceDAG(block)
             with self._lock:
-                entry, block_options = self._admit_block(name, dag, machine, options)
+                entry, block_options = self._admit_block(name, block, machine, options)
             if entry is not None:
                 slots.append(("entry", entry))
                 continue
-            key: Optional[str] = None
+            key: Optional[Tuple[str, SearchOptions]] = None
             if (
                 self.cache is not None
                 and req_budget is None
                 and block_options.time_limit is None
             ):
-                try:
-                    key = fingerprint_problem(dag, machine, block_options).key
-                except Exception:  # noqa: BLE001 - dedup is best-effort
-                    key = None
+                key = (text, block_options)
             if key is not None and key in dedup:
-                slots.append(("dup", dedup[key]))
+                slots.append(("dup", dedup[key], name))
                 continue
             job = PoolJob(
                 name,
@@ -484,12 +486,12 @@ class SchedulingService:
                 machine_spec,
                 block_options,
                 req_budget,
-                dag.idents,
+                block.idents,
                 hang_timeout=self.pool.hang_timeout,
             )
             if key is not None:
                 dedup[key] = len(slots)
-            slots.append(("job", job, dag))
+            slots.append(("job", job, block))
             jobs.append(job)
 
         try:
@@ -509,15 +511,17 @@ class SchedulingService:
                 entries.append(slot[1])
                 continue
             if slot[0] == "dup":
-                first = dict(entries[slot[1]])
+                _, first_index, name = slot
+                first = dict(entries[first_index])
                 if first["cache"] == MISS and not first["degraded"]:
                     # The first occurrence solved and stored this form;
                     # a fresh lookup would now hit.
                     first["cache"] = HIT
+                first["name"] = name
                 first["worker_retries"] = 0
                 entries.append(first)
                 continue
-            _, job, dag = slot
+            _, job, block = slot
             if job.entry is not None:
                 entry = dict(job.entry)
                 entry["worker_retries"] = job.attempts
@@ -527,7 +531,9 @@ class SchedulingService:
                 # rung, with the failure trail in worker_retries.
                 with self._lock:
                     self.telemetry.count("service.pool.degraded_entries")
-                    entry = seed_entry(job.name, dag, machine, self.telemetry)
+                    entry = seed_entry(
+                        job.name, DependenceDAG(block), machine, self.telemetry
+                    )
                 entry["worker_retries"] = job.attempts
             entries.append(entry)
         if self.budget is not None and omega_spent:

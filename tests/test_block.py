@@ -5,7 +5,8 @@ from hypothesis import given, settings
 
 from repro.ir.block import BasicBlock, BlockBuilder, BlockValidationError
 from repro.ir.ops import Opcode
-from repro.ir.tuples import add, const, load, mul, store
+from repro.frontend.lowering import lower_source
+from repro.ir.tuples import ConstOperand, add, const, load, mul, neg, store
 
 from .strategies import blocks
 
@@ -120,6 +121,137 @@ class TestBuilder:
         c = b.emit_const(3)
         n = b.emit_unary(Opcode.NEG, c)
         assert b.build().by_ident(n).value_refs == (c,)
+
+
+class TestBuilderValidatesAtEmit:
+    """``emit`` runs ``_validate``'s checks against the tuples already
+    emitted and fails with the same message a built block would."""
+
+    @staticmethod
+    def _messages(emit, tuples):
+        with pytest.raises(BlockValidationError) as at_emit:
+            emit()
+        with pytest.raises(BlockValidationError) as at_validate:
+            BasicBlock(tuples)
+        return str(at_emit.value), str(at_validate.value)
+
+    def test_forward_reference(self):
+        b = BlockBuilder()
+        b.emit_const(1)
+        emitted, validated = self._messages(
+            lambda: b.emit_binary(Opcode.ADD, 1, 3),
+            [const(1, 1), add(2, 1, 3), const(3, 2)],
+        )
+        assert emitted == validated
+        assert "does not precede" in emitted
+
+    def test_self_reference(self):
+        b = BlockBuilder()
+        b.emit_const(1)
+        emitted, validated = self._messages(
+            lambda: b.emit_unary(Opcode.NEG, 2), [const(1, 1), neg(2, 2)]
+        )
+        assert emitted == validated
+
+    def test_reference_to_a_store(self):
+        b = BlockBuilder()
+        b.emit_const(1)
+        b.emit_store("x", 1)
+        emitted, validated = self._messages(
+            lambda: b.emit_unary(Opcode.NEG, 2),
+            [const(1, 1), store(2, "x", 1), neg(3, 2)],
+        )
+        assert emitted == validated
+        assert "produces no value" in emitted
+
+    def test_rejected_tuple_is_not_kept(self):
+        b = BlockBuilder()
+        b.emit_const(1)
+        with pytest.raises(BlockValidationError):
+            b.emit_binary(Opcode.ADD, 1, 5)
+        assert len(b) == 1 and b.next_ident == 2
+
+
+SOURCE_TEXT = "b = 15; a = b * a; c = a + b; d = c - a;"
+
+
+def _replay(builder, tuples):
+    """Emit ``tuples`` (numbered 1..n) through ``builder``'s typed emitters."""
+    for t in tuples:
+        if t.op is Opcode.CONST:
+            builder.emit_const(t.alpha.value)
+        elif t.op is Opcode.LOAD:
+            builder.emit_load(t.variable)
+        elif t.op is Opcode.STORE:
+            builder.emit_store(t.variable, t.beta.ref)
+        elif len(t.value_refs) == 1:
+            builder.emit_unary(t.op, *t.value_refs)
+        else:
+            builder.emit_binary(t.op, *t.value_refs)
+
+
+class TestCopyOnWriteBuilder:
+    def test_full_repeat_returns_the_source(self):
+        source = lower_source(SOURCE_TEXT)
+        b = BlockBuilder(source.name, source=source)
+        _replay(b, source.tuples)
+        assert b.build() is source
+
+    def test_generic_emit_repeat_returns_the_source(self):
+        source = lower_source(SOURCE_TEXT)
+        b = BlockBuilder(source.name, source=source)
+        for t in source:
+            b.emit(t.op, t.alpha, t.beta)
+        assert b.build() is source
+
+    @pytest.mark.parametrize("split", range(0, 9))
+    def test_divergence_matches_a_fresh_builder(self, split):
+        source = lower_source(SOURCE_TEXT)
+        assert len(source) > 8
+        built = []
+        for cow in (BlockBuilder(source.name, source=source), BlockBuilder(source.name)):
+            _replay(cow, source.tuples[:split])
+            # Diverge: a constant the source does not hold at this spot.
+            ident = cow.emit_const(-999)
+            assert cow.tuple_at(ident).alpha == ConstOperand(-999)
+            if split:
+                assert cow.tuple_at(split) == source.tuples[split - 1]
+            if split:
+                ident = cow.emit_binary(Opcode.ADD, 1, ident)
+            cow.emit_store("z", ident)
+            built.append(cow.build())
+        shared, fresh = built
+        assert shared.tuples == fresh.tuples
+        assert shared.name == fresh.name
+        assert shared.idents == tuple(range(1, len(fresh) + 1))
+        assert str(shared) == str(fresh)
+        assert shared is not source
+
+    def test_truncated_repeat_is_the_prefix(self):
+        source = lower_source(SOURCE_TEXT)
+        b = BlockBuilder(source.name, source=source)
+        _replay(b, source.tuples[:4])
+        block = b.build()
+        assert block is not source
+        assert block.tuples == source.tuples[:4]
+        assert block.position_of(4) == 3
+
+    def test_sparse_source_is_not_shared(self):
+        sparse = BasicBlock([const(3, 1), store(7, "x", 3)], "sparse")
+        assert not sparse.densely_numbered
+        b = BlockBuilder("sparse", source=sparse)
+        c = b.emit_const(1)
+        b.emit_store("x", c)
+        built = b.build()
+        assert built.idents == (1, 2)
+        assert built.densely_numbered
+
+    def test_divergent_emit_still_validates(self):
+        source = lower_source(SOURCE_TEXT)
+        b = BlockBuilder(source.name, source=source)
+        _replay(b, source.tuples[:2])
+        with pytest.raises(BlockValidationError, match="produces no value"):
+            b.emit_unary(Opcode.NEG, 2)  # tuple 2 is the Store of b
 
 
 @given(blocks(max_size=12))

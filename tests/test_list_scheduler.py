@@ -1,5 +1,7 @@
 """Tests for the list-scheduling seed (section 3.2)."""
 
+import math
+
 from hypothesis import given, settings
 
 from repro.ir.dag import DependenceDAG
@@ -67,3 +69,48 @@ class TestSeedQualityStatistically:
 def test_always_topological(block):
     dag = DependenceDAG(block)
     assert dag.is_legal_order(list_schedule(dag))
+
+
+def resort_list_schedule(dag):
+    """Oracle: the ready list re-sorted by the full priority on every step."""
+    scheduled_at = {}
+
+    def priority(ident):
+        preds = dag.rho(ident)
+        if preds:
+            distance = len(scheduled_at) - max(scheduled_at[p] for p in preds)
+        else:
+            distance = math.inf
+        return (
+            -distance,
+            -dag.heights[ident],
+            -len(dag.descendants[ident]),
+            dag.block.position_of(ident),
+        )
+
+    indegree = {i: len(dag.rho(i)) for i in dag.idents}
+    ready = [i for i in dag.idents if indegree[i] == 0]
+    order = []
+    while ready:
+        ready.sort(key=priority)
+        chosen = ready.pop(0)
+        scheduled_at[chosen] = len(order)
+        order.append(chosen)
+        for succ in dag.successors(chosen):
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                ready.append(succ)
+    return tuple(order)
+
+
+@given(blocks(max_size=16, allow_div=True))
+@settings(max_examples=150)
+def test_heap_order_matches_resort_oracle(block):
+    dag = DependenceDAG(block)
+    assert list_schedule(dag) == resort_list_schedule(dag)
+
+
+def test_heap_order_matches_resort_oracle_on_population():
+    for gb in sample_population(60, master_seed=11):
+        dag = DependenceDAG(gb.block)
+        assert list_schedule(dag) == resort_list_schedule(dag), gb.block.name

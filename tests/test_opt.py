@@ -1,5 +1,7 @@
 """Tests for the classical optimizer passes (section 3.1)."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from repro.opt.fold import fold_constants
 from repro.opt.manager import optimize, optimize_block
 from repro.opt.peephole import peephole_optimize
 from repro.synth.generator import generate_program
+from repro.synth.population import sample_population_params
 from repro.synth.stats import GeneratorProfile
 
 
@@ -307,3 +310,37 @@ def test_optimizer_fixpoint_is_stable(statements, seed):
     first = optimize_block(block)
     second = optimize_block(first)
     assert first.tuples == second.tuples
+
+
+@given(
+    statements=st.integers(1, 14),
+    variables=st.integers(1, 5),
+    seed=st.integers(0, 5_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_passes_return_their_input_at_the_fixpoint(statements, variables, seed):
+    """On a block at the pipeline's fixpoint every pass changes nothing,
+    and says so by returning the very block it was given."""
+    program = generate_program(statements, variables, 3, seed)
+    fixed = optimize_block(lower_program(program))
+    assert fold_constants(fixed) is fixed
+    assert peephole_optimize(fixed) is fixed
+    assert eliminate_common_subexpressions(fixed) is fixed
+    assert eliminate_dead_code(fixed) is fixed
+
+
+#: sha256 over the optimized text and round count of the 300 programs of
+#: ``sample_population_params(300, 4242)``, recorded with the optimizer
+#: that rebuilt every block on every pass.
+OPTIMIZER_GOLDEN_SHA256 = (
+    "6df330dae0cadda18fcead0cd901bf52860d00bcbbdd94c4c18fe4a1c9ce6187"
+)
+
+
+def test_optimizer_output_matches_golden_digest():
+    digest = hashlib.sha256()
+    for p in sample_population_params(300, 4242):
+        program = generate_program(p.statements, p.variables, p.constants, p.seed)
+        report = optimize(lower_program(program, f"pop-{p.index}"))
+        digest.update(f"{report.block}\n{report.rounds}\n".encode())
+    assert digest.hexdigest() == OPTIMIZER_GOLDEN_SHA256

@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.ir.dag import DependenceDAG
-from repro.ir.textual import parse_block
+from repro.ir.textual import format_block, parse_block
 from repro.machine.presets import get_machine
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import SupervisorConfig
@@ -40,6 +40,8 @@ from repro.service.pool import PoolJob
 from repro.service.server import SCHEMA
 from repro.telemetry import Telemetry
 from repro.verify.certificate import check_schedule
+
+from .strategies import rename_block
 
 OPTIONS = SearchOptions(curtail=10_000)
 
@@ -234,6 +236,63 @@ class TestWorkerPool:
         with pytest.raises(PoolSaturated) as exc:
             pool.submit(jobs)
         assert exc.value.retry_after >= 1.0
+
+
+def _renumbered(tuples, offset):
+    """``tuples`` with every reference number shifted by ``offset``."""
+    block = parse_block(tuples)
+    return format_block(rename_block(block, {i: i + offset for i in block.idents}))
+
+
+class TestInBatchDedup:
+    """A block repeated within one batch: the pooled reply must equal the
+    inline one, entry for entry, names and orders included."""
+
+    @staticmethod
+    def _reply(store, blocks, workers):
+        cache = ScheduleCache(path=str(store))
+        pool = WorkerPool(workers, cache=cache).start() if workers else None
+        service = SchedulingService(cache=cache, options=OPTIONS, pool=pool)
+        try:
+            return service.schedule_batch(
+                {"schema": SCHEMA, "machine": "paper-simulation", "blocks": blocks}
+            )
+        finally:
+            if pool is not None:
+                pool.stop(drain_timeout=5.0)
+
+    @pytest.mark.parametrize("second", ["same", "renumbered"])
+    def test_pooled_dedup_matches_inline(self, tmp_path, second):
+        text = BLOCKS[0]
+        other = text if second == "same" else _renumbered(text, 100)
+        blocks = [{"name": "a", "tuples": text}, {"name": "b", "tuples": other}]
+        inline = self._reply(tmp_path / "inline", blocks, workers=0)
+        pooled = self._reply(tmp_path / "pooled", blocks, workers=1)
+        assert pooled == inline
+        b = pooled["entries"][1]
+        assert b["name"] == "b"
+        assert sorted(b["order"]) == list(parse_block(other).idents)
+        assert b["cache"] == "hit"
+
+
+class TestDispatcherWakeUp:
+    def test_submit_wakes_an_idle_dispatcher(self):
+        # The dispatcher sleeps on worker pipes for up to poll_interval;
+        # submit must wake it rather than wait the interval out.
+        pool = WorkerPool(1, config=SupervisorConfig(poll_interval=5.0)).start()
+        try:
+            # Let the dispatcher settle into its wait on an idle fleet.
+            time.sleep(0.3)
+            job = PoolJob("b", BLOCKS[0], "paper-simulation", OPTIONS, None,
+                          (1, 2, 3, 4, 5), hang_timeout=60.0)
+            start = time.monotonic()
+            pool.submit([job])
+            pool.wait(job)
+            elapsed = time.monotonic() - start
+        finally:
+            pool.stop(drain_timeout=5.0)
+        assert job.entry is not None, job.failure
+        assert elapsed < 1.0
 
 
 class TestAdmissionControl:

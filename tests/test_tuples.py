@@ -1,5 +1,9 @@
 """Unit tests for tuple instructions and operands."""
 
+import copy as copy_module
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.ir.ops import Opcode
@@ -107,3 +111,44 @@ class TestAccessors:
         t = add(3, 1, 2)
         with pytest.raises(AttributeError):
             t.ident = 5
+
+
+class TestCachedValueRefs:
+    """``value_refs`` is computed once at construction and is invisible to
+    equality, hashing, ``repr``, ``dataclasses.replace`` and pickling."""
+
+    def test_per_shape(self):
+        assert const(1, 5).value_refs == ()
+        assert load(1, "a").value_refs == ()
+        assert store(3, "a", 2).value_refs == (2,)
+        assert neg(2, 1).value_refs == (1,)
+        assert copy(2, 1).value_refs == (1,)
+        assert div(3, 2, 1).value_refs == (2, 1)
+
+    def test_equality_hash_and_repr(self):
+        t = add(3, 1, 2)
+        assert t == add(3, 1, 2) and t != add(3, 2, 1)
+        assert hash(t) == hash((3, Opcode.ADD, RefOperand(1), RefOperand(2)))
+        assert repr(t) == (
+            "IRTuple(ident=3, op=<Opcode.ADD: 'Add'>, "
+            "alpha=RefOperand(ref=1), beta=RefOperand(ref=2))"
+        )
+
+    def test_replace_recomputes(self):
+        t = add(3, 1, 2)
+        assert dataclasses.replace(t, beta=RefOperand(1)).value_refs == (1, 1)
+        assert dataclasses.replace(t, ident=9).value_refs == (1, 2)
+        with pytest.raises(ValueError):
+            dataclasses.replace(t, value_refs=(5,))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        for t in (add(3, 1, 2), store(4, "x", 3), const(1, -7), load(2, "a")):
+            back = pickle.loads(pickle.dumps(t, protocol))
+            assert back == t and repr(back) == repr(t)
+            assert back.value_refs == t.value_refs
+
+    def test_copies(self):
+        t = store(4, "x", 3)
+        for clone in (copy_module.copy(t), copy_module.deepcopy(t)):
+            assert clone == t and clone.value_refs == (3,)
