@@ -10,32 +10,32 @@ it out:
    :func:`repro.synth.population.sample_population_params`.
 2. The parameters are striped round-robin into chunks, so the cost of
    large blocks spreads evenly across workers.
-3. Each chunk runs in its own supervised worker process
-   (:func:`_chunk_worker`): the worker rebuilds its blocks with
-   :func:`generate_from_params`, schedules them through the same
-   :func:`schedule_generated_block` step the serial runner uses, sends a
-   heartbeat per finished block, and delivers its records plus its own
-   telemetry registry in one final message.
-4. The parent merges records back into deterministic block-index order
-   and folds every worker's telemetry into the caller's registry.
+3. One :class:`repro.resilience.pool.WorkerPool` of ``workers``
+   processes runs the chunks, one job each (:func:`_run_chunk`): the
+   worker rebuilds its blocks with :func:`generate_from_params`,
+   schedules them through the same :func:`schedule_generated_block`
+   step the serial runner uses, beats after every block, and returns
+   its records; the pool merges the worker's telemetry.
+4. The parent folds chunks as they land — journal, Ω charge — and
+   sorts the records back into deterministic block-index order.
 
 Because workers and the serial runner share one per-block code path and
 the parameter stream reproduces the population bit for bit, the merged
 records are identical to ``run_population``'s (wall-clock fields aside —
 ``BlockRecord`` equality already excludes those).
 
-Fault tolerance (see :mod:`repro.resilience`): each worker owns exactly
-one chunk, so a crashed process (stale pipe + dead process object), a
-hung one (stale heartbeat), or one returning records that fail
-:func:`repro.resilience.supervisor.validate_records` blames exactly one
-chunk.  Failed chunks are requeued with capped exponential backoff; a
-chunk that keeps failing is **poisoned** — the parent quarantines it and
-publishes its blocks' deterministic list-schedule seeds (the bottom rung
-of the degradation ladder) instead of aborting the run.  Only a clean
-``done`` message carries records, so a fault can never leak partial
-work.  :class:`VerificationError` is the one exception that must *not*
-be retried: a failed schedule certificate means the data is wrong, not
-the worker, so it aborts the run.
+Fault tolerance is the pool's (see :mod:`repro.resilience.pool`): a
+crashed worker, a hung one (no beat within the hang deadline), or one
+returning records that fail
+:func:`repro.resilience.supervisor.validate_records` costs exactly one
+chunk attempt, which is retried with capped exponential backoff.  A
+chunk that exhausts its retries is **poisoned**: the parent publishes
+its blocks' deterministic list-schedule seeds (the bottom rung of the
+degradation ladder) instead of aborting the run.  Only a validated
+result carries records, so a fault can never leak partial work.
+:class:`VerificationError` is the one failure that must *not* be
+retried: a failed schedule certificate means the data is wrong, not the
+worker, so the task returns it and the parent aborts the run.
 
 Degradation, not hangs: ``SearchOptions.time_limit`` bounds the
 wall-clock any one block may spend in the branch-and-bound; a block that
@@ -43,29 +43,26 @@ exceeds it walks down the degradation ladder
 (:func:`repro.resilience.budget.ladder_schedule` — split windows, then
 the list seed) exactly as it would serially, and is recorded
 ``completed=False``.
-Robustness, not ceremony: ``workers=1`` — or any failure to stand
-worker processes up (sandboxed environments without process support) —
-falls back to the serial runner, which produces the same records.
+Robustness, not ceremony: ``workers=1`` — or a pool that cannot be
+started (sandboxed environments without process support) — falls back
+to the serial runner, which produces the same records.  A worker that
+cannot be re-forked mid-run is the pool's to handle: its chunks degrade,
+nothing already journaled is redone.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
-import time
-from multiprocessing import Pipe, Process
-from multiprocessing import connection as mp_connection
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence
 
 from ..machine.machine import MachineDescription
 from ..machine.presets import paper_simulation_machine
 from ..resilience.budget import BudgetManager
 from ..resilience.faults import FaultPlan
-from ..resilience.supervisor import (
-    ChunkSupervisor,
-    SupervisorConfig,
-    validate_records,
-)
+from ..resilience.pool import JobContext, PoolJob, WorkerPool
+from ..resilience.supervisor import SupervisorConfig, validate_records
 from ..sched.core import resolve_engine
 from ..sched.search import SearchOptions
 from ..synth.population import (
@@ -109,46 +106,42 @@ def _corrupt_records(records: List[BlockRecord]) -> List[BlockRecord]:
     return [first] + records[1:]
 
 
-def _chunk_worker(
-    conn,
-    chunk_id: int,
-    attempt: int,
+def _check_chunk(indexes: List[int], result) -> Optional[str]:
+    """Parent-side validator of one chunk's result (a certificate failure
+    is data for the driver, not a corrupt payload)."""
+    if isinstance(result, VerificationError):
+        return None
+    return validate_records(result, indexes)
+
+
+def _run_chunk(
+    ctx: JobContext,
     params_chunk: Sequence[BlockParams],
     machine: MachineDescription,
     spec: PopulationSpec,
     options: SearchOptions,
     verify: bool,
     budget: Optional[BudgetManager],
-    fault_plan: Optional[FaultPlan],
-    cache=None,
-) -> None:
-    """Worker entry point: schedule one parameter chunk.
+):
+    """Pool task: schedule one parameter chunk on a worker.
 
-    Protocol (messages over ``conn``):
+    Rebuilds each block with :func:`generate_from_params`, schedules it
+    through :func:`schedule_generated_block` and beats after every
+    block, so the pool's hang deadline is per block.  Returns the
+    records, or the :class:`VerificationError` of a failed schedule
+    certificate — returned, not raised: retrying would reproduce it (the
+    records, not the worker, are wrong), so the parent must abort.
 
-    * ``("hb", chunk_id, k)`` after each scheduled block — the progress
-      heartbeat the supervisor watches.  Progress, not liveness: a worker
-      spinning uselessly inside one block goes as stale as a dead one.
-    * ``("done", chunk_id, records, telemetry_dict)`` exactly once on
-      success — the *only* message that carries records, so partial work
-      from a faulted attempt can never be merged.
-    * ``("fatal", chunk_id, message)`` for a failed schedule certificate:
-      retrying would reproduce it (the records, not the worker, are
-      wrong), so the parent must abort, not requeue.
-
-    When a :class:`FaultPlan` schedules a fault for this ``(chunk_id,
-    attempt)``, it triggers at the chunk's midpoint — after real work has
-    been done — so recovery is exercised against partial state, not idle
-    workers.
+    A chaos crash or hang fires at the chunk's midpoint — after real
+    work has been done — so recovery is exercised against partial
+    state; a ``corrupt`` fault damages the returned records.
     """
-    fault = fault_plan.decide(chunk_id, attempt) if fault_plan is not None else None
     fault_at = len(params_chunk) // 2
-    telemetry = Telemetry()
     records: List[BlockRecord] = []
     try:
         for k, params in enumerate(params_chunk):
-            if fault in ("crash", "hang") and k == fault_at:
-                fault_plan.inject(fault)
+            if k == fault_at:
+                ctx.inject()
             gb = generate_from_params(params, spec)
             records.append(
                 schedule_generated_block(
@@ -156,41 +149,18 @@ def _chunk_worker(
                     gb,
                     machine,
                     options,
-                    telemetry=telemetry,
+                    telemetry=ctx.telemetry,
                     verify=verify,
                     budget=budget,
-                    cache=cache,
+                    cache=ctx.cache,
                 )
             )
-            conn.send(("hb", chunk_id, k))
-        if fault == "corrupt":
-            records = _corrupt_records(records)
-        conn.send(("done", chunk_id, records, telemetry.as_dict()))
+            ctx.beat()
     except VerificationError as exc:
-        conn.send(("fatal", chunk_id, str(exc)))
-    finally:
-        conn.close()
-
-
-class _Running:
-    """One live worker: its process, pipe, and freshest heartbeat."""
-
-    __slots__ = ("process", "conn", "last_beat")
-
-    def __init__(self, process, conn, now: float):
-        self.process = process
-        self.conn = conn
-        self.last_beat = now
-
-
-def _stop_worker(worker: _Running) -> None:
-    try:
-        worker.conn.close()
-    except OSError:
-        pass
-    if worker.process.is_alive():
-        worker.process.terminate()
-    worker.process.join(timeout=5.0)
+        return exc
+    if ctx.fault == "corrupt":
+        records = _corrupt_records(records)
+    return records
 
 
 def run_population_parallel(
@@ -215,7 +185,7 @@ def run_population_parallel(
     Drop-in parallel equivalent of :func:`run_population`: same
     parameters plus ``workers`` (default: ``REPRO_WORKERS`` or the CPU
     count) and the same record list, in block-index order.  Serial
-    fallback when ``workers=1`` or worker processes cannot be started.
+    fallback when ``workers=1`` or the worker pool cannot be started.
     With ``verify=True`` each worker certifies every published schedule
     through the independent checker; a certificate failure raises
     :class:`repro.experiments.runner.VerificationError` in the parent.
@@ -232,12 +202,11 @@ def run_population_parallel(
       the deadline degrade inside workers exactly as they would
       serially; the run-level Ω cap is enforced by the parent at chunk
       granularity (workers cannot see each other's spend).
-    * ``supervisor`` — heartbeat/retry/poison policy knobs.
+    * ``supervisor`` — the pool's hang/retry/backoff policy knobs.
     * ``fault_plan`` — deterministic fault injection for chaos tests.
-    * ``cache`` — a :class:`repro.service.cache.ScheduleCache`; each
-      worker re-opens the same disk store (the pickle form carries only
-      the store path), so canonical forms solved by any worker — or any
-      earlier run — are served instead of re-searched.
+    * ``cache`` — a :class:`repro.service.cache.ScheduleCache`; every
+      worker uses the same disk store, so canonical forms solved by any
+      worker — or any earlier run — are served instead of re-searched.
     """
     if workers is None:
         workers = default_workers()
@@ -292,28 +261,30 @@ def run_population_parallel(
         # along the stream, so contiguous spans would load-balance poorly.
         chunks = [params[i::n_chunks] for i in range(n_chunks)]
         try:
-            fresh = _run_supervised(
-                chunks,
-                machine,
-                spec,
-                options,
-                verify,
-                workers,
-                telemetry,
-                on_records,
-                budget,
-                supervisor,
-                fault_plan,
-                cache,
-            )
-        except (OSError, PermissionError, RuntimeError):
+            pool = WorkerPool(
+                min(workers, n_chunks),
+                cache=cache,
+                config=supervisor,
+                fault_plan=fault_plan,
+                telemetry=telemetry,
+                queue_limit=n_chunks,
+            ).start()
+        except (OSError, RuntimeError):
             # Worker processes cannot be stood up (restricted sandbox,
-            # missing /dev/shm, fork limits): the records are
-            # deterministic, so redoing the run serially is always safe.
+            # missing /dev/shm, fork limits): nothing has run yet and the
+            # records are deterministic, so the serial runner is safe.
             if telemetry is not None:
                 telemetry.count("parallel.fallbacks")
             return serial()
-        records.extend(fresh)
+        try:
+            records.extend(
+                _run_chunks(
+                    pool, chunks, machine, spec, options, verify,
+                    telemetry, on_records, budget,
+                )
+            )
+        finally:
+            pool.stop(drain_timeout=0.0)
         if telemetry is not None:
             telemetry.count("parallel.runs")
             telemetry.count("parallel.workers", workers)
@@ -330,177 +301,74 @@ def run_population_parallel(
     return records
 
 
-def _run_supervised(
+def _run_chunks(
+    pool: WorkerPool,
     chunks: List[List[BlockParams]],
     machine: MachineDescription,
     spec: PopulationSpec,
     options: SearchOptions,
     verify: bool,
-    workers: int,
     telemetry: Optional[Telemetry],
     on_records: Optional[Callable[[Sequence[BlockRecord]], None]],
     budget: Optional[BudgetManager],
-    config: SupervisorConfig,
-    fault_plan: Optional[FaultPlan],
-    cache=None,
 ) -> List[BlockRecord]:
-    """Drive the chunk fleet to completion under supervision.
+    """Submit every chunk to ``pool`` and fold the results as they land.
 
-    The loop: launch ready chunks into free worker slots, wait briefly
-    for messages, accept validated results, detect crashed/hung workers,
-    requeue or poison their chunks.  Raises :class:`VerificationError`
-    on a worker's ``fatal`` message and lets process-spawn errors
-    propagate (the caller falls back to the serial runner).
+    Chunks are submitted in order, so job ``i`` is chunk ``i`` and a
+    seeded fault plan replays.  A chunk that exhausted its retries
+    publishes its blocks' list seeds; once the run budget is spent the
+    chunks no worker has started are cancelled and publish their seeds
+    too.  Raises :class:`VerificationError` on a failed certificate.
     """
-    sup = ChunkSupervisor(len(chunks), config)
-    running: Dict[int, _Running] = {}
+    jobs = [
+        PoolJob(
+            f"chunk {cid}",
+            _run_chunk,
+            (chunk, machine, spec, options, verify, budget),
+            validate=functools.partial(_check_chunk, [p.index for p in chunk]),
+            time_limit=options.time_limit,
+        )
+        for cid, chunk in enumerate(chunks)
+    ]
+    pending = dict(zip(jobs, chunks))
     records: List[BlockRecord] = []
 
-    def accept(cid: int, chunk_records: List[BlockRecord], stats: dict) -> None:
-        sup.note_success(cid)
+    def publish(chunk_records: List[BlockRecord]) -> None:
         records.extend(chunk_records)
-        if telemetry is not None:
-            telemetry.merge(stats)
-        if budget is not None:
-            budget.charge(sum(r.omega_calls for r in chunk_records))
         if on_records is not None:
             on_records(chunk_records)
 
-    def quarantine(cid: int) -> None:
-        """Poisoned chunk: publish deterministic list seeds, keep going."""
-        seeds = [
-            list_seed_record(
-                p.index, generate_from_params(p, spec), machine, telemetry
-            )
-            for p in chunks[cid]
+    def seeds(chunk: List[BlockParams], counter: str) -> List[BlockRecord]:
+        # Counted privately, then merged under the pool's lock: the
+        # dispatcher counts into the same registry concurrently.
+        local = Telemetry()
+        local.count(counter, len(chunk))
+        out = [
+            list_seed_record(p.index, generate_from_params(p, spec), machine, local)
+            for p in chunk
         ]
-        records.extend(seeds)
         if telemetry is not None:
-            telemetry.count("resilience.poison_chunks")
-            telemetry.count("resilience.poison_blocks", len(seeds))
-        if on_records is not None:
-            on_records(seeds)
+            with pool.telemetry_lock:
+                telemetry.merge(local)
+        return out
 
-    def fail(cid: int, kind: str, counter: str, now: float) -> None:
-        if telemetry is not None:
-            telemetry.count(counter)
-        if sup.note_failure(cid, kind, now) == "poison":
-            quarantine(cid)
-        elif telemetry is not None:
-            telemetry.count("resilience.chunk_retries")
-
-    try:
-        while not sup.finished():
-            now = time.monotonic()
-            while len(running) < workers:
-                cid = sup.next_ready(now)
-                if cid is None:
-                    break
-                parent_conn, child_conn = Pipe(duplex=False)
-                proc = Process(
-                    target=_chunk_worker,
-                    args=(
-                        child_conn,
-                        cid,
-                        sup.attempts[cid],
-                        chunks[cid],
-                        machine,
-                        spec,
-                        options,
-                        verify,
-                        budget,
-                        fault_plan,
-                        cache,
-                    ),
-                    daemon=True,
+    pool.submit(jobs)
+    while pending:
+        job = pool.wait_any(pending)
+        chunk = pending.pop(job)
+        if isinstance(job.result, VerificationError):
+            raise job.result
+        if job.result is None:
+            publish(seeds(chunk, "resilience.poison_blocks"))
+        else:
+            if budget is not None:
+                budget.charge(sum(r.omega_calls for r in job.result))
+            publish(job.result)
+        if budget is not None and budget.run_exhausted() is not None:
+            for cancelled in pool.cancel(pending):
+                publish(
+                    seeds(
+                        pending.pop(cancelled), "resilience.run_budget_exhausted"
+                    )
                 )
-                proc.start()
-                child_conn.close()
-                running[cid] = _Running(proc, parent_conn, now)
-
-            if running:
-                mp_connection.wait(
-                    [w.conn for w in running.values()],
-                    timeout=config.poll_interval,
-                )
-            elif not sup.finished():
-                time.sleep(max(config.poll_interval, sup.sleep_hint(now)))
-                continue
-
-            now = time.monotonic()
-            for cid in list(running):
-                worker = running[cid]
-                finished = False
-                failure: Optional[Tuple[str, str]] = None
-                try:
-                    while worker.conn.poll():
-                        msg = worker.conn.recv()
-                        if msg[0] == "hb":
-                            worker.last_beat = now
-                        elif msg[0] == "done":
-                            _, _, chunk_records, stats = msg
-                            reason = validate_records(
-                                chunk_records, [p.index for p in chunks[cid]]
-                            )
-                            if reason is None:
-                                accept(cid, chunk_records, stats)
-                            else:
-                                failure = (
-                                    f"invalid records: {reason}",
-                                    "resilience.corrupted_records",
-                                )
-                            finished = True
-                            break
-                        elif msg[0] == "fatal":
-                            for other in running.values():
-                                _stop_worker(other)
-                            raise VerificationError(msg[2])
-                except (EOFError, OSError):
-                    failure = ("connection lost", "resilience.crashes_detected")
-                    finished = True
-                if not finished:
-                    if not worker.process.is_alive():
-                        failure = (
-                            f"worker died (exit {worker.process.exitcode})",
-                            "resilience.crashes_detected",
-                        )
-                        finished = True
-                    elif now - worker.last_beat > config.hang_timeout:
-                        failure = (
-                            f"no heartbeat for {config.hang_timeout:g}s",
-                            "resilience.hangs_detected",
-                        )
-                        finished = True
-                if finished:
-                    _stop_worker(worker)
-                    del running[cid]
-                    if failure is not None:
-                        fail(cid, failure[0], failure[1], time.monotonic())
-
-            if budget is not None and budget.run_exhausted() is not None:
-                # Run budget gone: degrade every not-yet-started chunk to
-                # list seeds.  In-flight chunks finish under their own
-                # (worker-side) deadline checks.
-                for cid in sup.drain_pending():
-                    if telemetry is not None:
-                        telemetry.count(
-                            "resilience.run_budget_exhausted", len(chunks[cid])
-                        )
-                    sup.note_success(cid)
-                    seeds = [
-                        list_seed_record(
-                            p.index,
-                            generate_from_params(p, spec),
-                            machine,
-                            telemetry,
-                        )
-                        for p in chunks[cid]
-                    ]
-                    records.extend(seeds)
-                    if on_records is not None:
-                        on_records(seeds)
-    finally:
-        for worker in running.values():
-            _stop_worker(worker)
-
     return records

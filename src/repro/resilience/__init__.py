@@ -1,7 +1,7 @@
-"""Fault tolerance for population runs.
+"""Fault tolerance for population runs and the scheduling daemon.
 
-Four pieces, composed by :mod:`repro.experiments.parallel` and the
-``repro experiments`` CLI:
+Five pieces, composed by :mod:`repro.experiments.parallel`, the
+``repro experiments`` CLI and the ``repro serve`` daemon:
 
 * :mod:`repro.resilience.budget` — run-level wall-clock / Ω-call
   budgets and :func:`ladder_schedule`, the one function that picks a
@@ -10,8 +10,12 @@ Four pieces, composed by :mod:`repro.experiments.parallel` and the
   ``SearchOptions`` fields).
 * :mod:`repro.resilience.journal` — append-only, fsync'd checkpoint
   journal of completed block records; ``--resume`` replays it.
-* :mod:`repro.resilience.supervisor` — heartbeat-based worker
-  supervision policy: retry with capped backoff, then poison-quarantine.
+* :mod:`repro.resilience.pool` — :class:`WorkerPool`, the one
+  supervised pre-fork worker fleet: crash/hang/corrupt detection,
+  retries, degradation.
+* :mod:`repro.resilience.supervisor` — its policy knobs
+  (:class:`SupervisorConfig`: hang deadline, retries, capped backoff)
+  and the parent-side result checks.
 * :mod:`repro.resilience.faults` — deterministic (seeded) fault
   injection used by the chaos suite and the ``--chaos`` CLI flag.
 """
@@ -28,7 +32,8 @@ from .budget import (
 )
 from .faults import FaultPlan
 from .journal import Journal, JournalError, load_journal
-from .supervisor import ChunkSupervisor, SupervisorConfig, validate_records
+from .pool import PoolJob, PoolSaturated, WorkerPool
+from .supervisor import SupervisorConfig, validate_records
 
 __all__ = [
     "LADDER",
@@ -43,7 +48,9 @@ __all__ = [
     "Journal",
     "JournalError",
     "load_journal",
-    "ChunkSupervisor",
+    "PoolJob",
+    "PoolSaturated",
+    "WorkerPool",
     "SupervisorConfig",
     "validate_records",
 ]

@@ -1,57 +1,50 @@
-"""Worker supervision policy: heartbeats, retries, backoff, quarantine.
+"""Worker supervision policy: retries, backoff, hang deadline, validation.
 
 The mechanics of running worker processes live in
-:mod:`repro.experiments.parallel`; this module owns the *policy* as a
-plain, unit-testable state machine:
+:mod:`repro.resilience.pool`; this module owns the *policy* knobs and
+the result checks:
 
-* Workers send a heartbeat message per scheduled block.  A worker whose
-  heartbeat goes stale for longer than ``hang_timeout`` is presumed hung
-  (livelock, pathological block) and is terminated; a worker process
-  that dies without delivering its results (OOM kill, segfault,
-  interpreter crash) is detected the same way the moment its process
-  object reports dead.  Heartbeats measure *progress*, not liveness —
-  a worker spinning uselessly is as dead as one that exited.
-* A failed chunk is requeued with capped exponential backoff
-  (``backoff_base * 2**(attempt-1)``, at most ``backoff_cap`` seconds),
-  so a systemic failure (disk full, fork bomb elsewhere on the host)
-  does not turn into a tight crash loop.
-* After ``max_retries`` failed attempts a chunk is **poisoned**: the
-  parent quarantines it and degrades its blocks to their deterministic
-  list-schedule seeds (the bottom rung of the degradation ladder)
-  instead of aborting the whole run.  One pathological block can cost
-  its chunk optimality; it can no longer cost the run.
-
-Returned chunks are validated before acceptance (:func:`validate_records`):
-a worker that returns records for the wrong blocks, impossible NOP
-counts, or inconsistent flags is treated exactly like a crashed one.
-
-The same policy supervises the scheduling daemon's pre-fork worker pool
-(:mod:`repro.service.pool`): there the unit of work is one request
-block instead of a population chunk, heartbeat staleness is measured
-per dispatched job, and :func:`validate_entry` plays the role of
-:func:`validate_records` for one wire entry.
+* :class:`SupervisorConfig` — a job making no progress for
+  ``hang_timeout`` seconds (plus its own wall-clock ``time_limit``) is
+  presumed hung (livelock, pathological block) and its worker killed;
+  progress is a task's per-block beat, not liveness — a worker spinning
+  uselessly is as dead as one that exited.  A failed job is requeued
+  with capped exponential backoff (``backoff_base * 2**(attempt-1)``, at
+  most ``backoff_cap`` seconds), so a systemic failure (disk full, fork
+  limits) does not turn into a tight crash loop.  After ``max_retries``
+  failed attempts the job degrades: a population chunk publishes its
+  blocks' deterministic list-schedule seeds (the bottom rung of the
+  degradation ladder) instead of aborting the run, a daemon request
+  block its seed with ``degraded`` provenance.
+* :func:`validate_records` (a population chunk) and
+  :func:`validate_entry` (one daemon wire entry) — cheap structural
+  checks run in the parent before a worker's result is trusted; a
+  worker returning records for the wrong blocks, impossible NOP counts,
+  or inconsistent flags is treated exactly like a crashed one.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .budget import LADDER
 
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Tuning knobs of the population-run supervisor."""
+    """Tuning knobs of the worker-pool supervisor."""
 
-    #: Seconds without a worker heartbeat before it is presumed hung.
-    #: Must exceed the worst-case single-block scheduling time (bound it
-    #: with a block wall-clock budget when in doubt).
+    #: Seconds a job may go without progress, on top of its own
+    #: ``time_limit``, before its worker is presumed hung.  Must exceed
+    #: the worst-case time between two progress beats (one population
+    #: block, one daemon request block) — bound it with a block
+    #: wall-clock budget when in doubt.
     hang_timeout: float = 30.0
-    #: Parent poll cadence for worker messages and liveness.
+    #: Dispatcher poll cadence for worker messages and liveness.
     poll_interval: float = 0.02
-    #: Failed attempts before a chunk is poisoned (quarantined).
+    #: Failed attempts of a job before it degrades.
     max_retries: int = 3
     #: Exponential backoff: first retry after ``backoff_base`` seconds.
     backoff_base: float = 0.25
@@ -59,17 +52,32 @@ class SupervisorConfig:
     backoff_cap: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.hang_timeout <= 0:
-            raise ValueError("hang_timeout must be positive")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
+        for name, what in (
+            ("hang_timeout", "hang timeout"),
+            ("poll_interval", "poll interval"),
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{what} must be a positive, finite number of seconds, "
+                    f"got {value!r}"
+                )
+        # Zero backoff is legal: retry at once.
+        for name, what in (
+            ("backoff_base", "backoff base"),
+            ("backoff_cap", "backoff cap"),
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{what} must be a non-negative, finite number of "
+                    f"seconds, got {value!r}"
+                )
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff must be non-negative")
 
     def backoff_delay(self, attempt: int) -> float:
-        """Delay before retry number ``attempt`` (1-based) of a chunk."""
+        """Delay before retry number ``attempt`` (1-based) of a job."""
         if attempt <= 0:
             return 0.0
         return min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
@@ -160,65 +168,3 @@ def validate_entry(entry, expected_name: str, expected_idents) -> Optional[str]:
     if entry["cache"] not in ("hit", "miss", "bypass"):
         return f"unknown cache status {entry['cache']!r}"
     return None
-
-
-class ChunkSupervisor:
-    """Bookkeeping for one supervised run over ``n_chunks`` chunks.
-
-    Pure state machine over an injected clock: no processes, no sleeps.
-    The driver asks :meth:`next_ready` what to launch, reports
-    :meth:`note_success` / :meth:`note_failure`, and stops when
-    :meth:`finished`.
-    """
-
-    def __init__(self, n_chunks: int, config: SupervisorConfig):
-        self.config = config
-        self.pending = deque(range(n_chunks))
-        self.attempts: Dict[int, int] = {cid: 0 for cid in range(n_chunks)}
-        self.eligible_at: Dict[int, float] = {cid: 0.0 for cid in range(n_chunks)}
-        self.done: set = set()
-        self.poisoned: set = set()
-        self.failures: List[str] = []  # "(chunk, attempt, kind)" audit trail
-
-    # -- scheduling ----------------------------------------------------
-    def next_ready(self, now: float) -> Optional[int]:
-        """Pop a pending chunk whose backoff has elapsed, if any."""
-        for _ in range(len(self.pending)):
-            cid = self.pending.popleft()
-            if self.eligible_at[cid] <= now:
-                return cid
-            self.pending.append(cid)
-        return None
-
-    def sleep_hint(self, now: float) -> float:
-        """Longest useful sleep when nothing is ready (backoff waits)."""
-        if not self.pending:
-            return self.config.poll_interval
-        earliest = min(self.eligible_at[cid] for cid in self.pending)
-        return max(0.0, min(earliest - now, self.config.backoff_cap))
-
-    # -- outcomes ------------------------------------------------------
-    def note_success(self, cid: int) -> None:
-        self.done.add(cid)
-
-    def note_failure(self, cid: int, kind: str, now: float) -> str:
-        """Record a failed attempt; returns ``"retry"`` or ``"poison"``."""
-        self.attempts[cid] += 1
-        self.failures.append(f"chunk {cid} attempt {self.attempts[cid]}: {kind}")
-        if self.attempts[cid] > self.config.max_retries:
-            self.poisoned.add(cid)
-            return "poison"
-        self.eligible_at[cid] = now + self.config.backoff_delay(self.attempts[cid])
-        self.pending.append(cid)
-        return "retry"
-
-    def drain_pending(self) -> List[int]:
-        """Take every not-yet-running chunk (run-budget exhaustion path)."""
-        drained = list(self.pending)
-        self.pending.clear()
-        return drained
-
-    def finished(self) -> bool:
-        return all(
-            cid in self.done or cid in self.poisoned for cid in self.attempts
-        )

@@ -9,20 +9,20 @@ Layers:
   (in-process LRU over a disk-backed, fsync'd store) memo of full
   ``SearchResult``s, certificate-verified on insert; corrupt disk
   entries are quarantined, never silently dropped.
-* :mod:`repro.service.pool` — :class:`WorkerPool`, the supervised
-  pre-fork worker fleet that gives the daemon crash isolation: a
-  segfault, hang, or OOM kills one worker, the request retries on a
-  fresh one and degrades honestly past the retry cap.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   ``repro serve`` batch daemon speaking the ``repro-service/2`` JSON
   protocol (admission control, per-request deadlines, liveness/readiness
-  health, graceful drain), and its retrying client.
+  health, graceful drain), and its retrying client.  The daemon runs
+  its searches on :class:`WorkerPool` (:mod:`repro.resilience.pool`,
+  re-exported here), the supervised pre-fork worker fleet population
+  runs use too: a segfault, hang, or OOM kills one worker, the request
+  retries on a fresh one and degrades honestly past the retry cap.
 """
 
+from ..resilience.pool import PoolSaturated, WorkerPool
 from .cache import CacheIntegrityError, ScheduleCache
 from .client import ServiceClient, ServiceClientError
 from .fingerprint import CanonicalForm, fingerprint_problem
-from .pool import PoolSaturated, WorkerPool
 from .server import (
     SchedulingService,
     ServiceDrainingError,

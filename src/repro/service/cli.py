@@ -40,11 +40,17 @@ from typing import List, Optional
 from ..cliutil import common_flags, run_budget, search_options
 from ..ioutil import atomic_write_json
 from ..resilience.faults import FaultPlan
+from ..resilience.pool import WorkerPool
 from ..resilience.supervisor import SupervisorConfig
 from ..telemetry import Telemetry
 from .cache import ScheduleCache
-from .pool import POOL_HANG_TIMEOUT, WorkerPool
 from .server import SchedulingService, create_server
+
+#: ``--hang-timeout`` default: generous — a legitimate curtailed search
+#: at the default λ finishes far faster — but finite, so a hung native
+#: solve is killed instead of wedging a request forever.  A block with
+#: its own ``--block-timeout`` gets that limit on top.
+POOL_HANG_TIMEOUT = 60.0
 
 
 def build_parser(prog: str = "repro-serve") -> argparse.ArgumentParser:
@@ -144,6 +150,12 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-serve") -> int:
         parser.error("--workers must be non-negative")
     options = search_options(parser, args)
     budget = run_budget(parser, args)
+    try:
+        config = SupervisorConfig(
+            hang_timeout=args.hang_timeout, max_retries=args.max_retries
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
     cache = None
     if not args.no_cache:
@@ -163,18 +175,11 @@ def main(argv: Optional[List[str]] = None, prog: str = "repro-serve") -> int:
     telemetry = Telemetry()
     pool = None
     if args.workers > 0:
-        try:
-            config = SupervisorConfig(
-                hang_timeout=args.hang_timeout, max_retries=args.max_retries
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
         pool = WorkerPool(
             size=args.workers,
             cache=cache,
             config=config,
             fault_plan=fault_plan,
-            hang_timeout=args.hang_timeout,
             on_event=lambda line: print(
                 f"[pool] {line}", file=sys.stderr, flush=True
             ),

@@ -5,7 +5,7 @@ a machine description over HTTP (localhost TCP or a unix-domain socket)
 and answers with schedules plus per-entry provenance.  The front-end
 owns the listening socket and never searches: scheduling runs either
 inline (``pool=None`` — tests, ``--workers 0``) or, in production mode,
-on a supervised pre-fork worker pool (:mod:`repro.service.pool`) so a
+on a supervised pre-fork worker pool (:mod:`repro.resilience.pool`) so a
 native-engine segfault, a hung solve, or an OOM kill costs one worker
 process — the request is retried on a fresh worker and, past the retry
 cap, degraded to the block's deterministic list-schedule seed with
@@ -77,6 +77,7 @@ its own name.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -98,11 +99,12 @@ from ..resilience.budget import (
     ladder_schedule,
     seed_outcome,
 )
+from ..resilience.pool import JobContext, PoolJob, PoolSaturated, WorkerPool
+from ..resilience.supervisor import validate_entry
 from ..sched.core import check_engine, resolve_engine
 from ..sched.search import SearchOptions
 from ..telemetry import Telemetry
 from .cache import BYPASS, HIT, MISS, ScheduleCache
-from .pool import PoolJob, PoolSaturated, WorkerPool
 
 __all__ = [
     "SCHEMA",
@@ -111,6 +113,7 @@ __all__ = [
     "ServiceDrainingError",
     "SchedulingService",
     "execute_block",
+    "block_job",
     "seed_entry",
     "create_server",
 ]
@@ -217,12 +220,62 @@ def execute_block(
     return _entry(name, out)
 
 
+def _block_task(
+    ctx: JobContext,
+    name: str,
+    tuples: str,
+    machine_spec: Any,
+    options: SearchOptions,
+    budget: Optional[BudgetManager],
+) -> Dict[str, Any]:
+    """Pool task: parse and schedule one request block on a worker.
+
+    A chaos crash or hang fires after parsing ("mid-request": the job is
+    owned by this worker, so recovery must requeue it, not lose it); a
+    ``corrupt`` fault mangles the entry so the parent's
+    :func:`validate_entry` must catch it.
+    """
+    machine = (
+        get_machine(machine_spec)
+        if isinstance(machine_spec, str)
+        else machine_from_dict(machine_spec)
+    )
+    dag = DependenceDAG(parse_block(tuples, name=name))
+    ctx.inject()
+    entry = execute_block(
+        name, dag, machine, options, ctx.telemetry, cache=ctx.cache, budget=budget
+    )
+    if ctx.fault == "corrupt":
+        entry = dict(entry, total_nops=entry["seed_nops"] + 7)
+    return entry
+
+
+def block_job(
+    name: str,
+    tuples: str,
+    machine_spec: Any,
+    options: SearchOptions,
+    budget: Optional[BudgetManager],
+    idents: Tuple[int, ...],
+) -> PoolJob:
+    """The pool job that schedules one request block (see :func:`_block_task`)."""
+    return PoolJob(
+        name,
+        _block_task,
+        (name, tuples, machine_spec, options, budget),
+        validate=functools.partial(
+            validate_entry, expected_name=name, expected_idents=idents
+        ),
+        time_limit=options.time_limit,
+    )
+
+
 class SchedulingService:
     """The protocol logic, separated from HTTP plumbing for testing.
 
     ``pool=None`` schedules inline under one lock (the PR 5 behaviour —
     tests and ``--workers 0``); with a started
-    :class:`repro.service.pool.WorkerPool` the service becomes a pure
+    :class:`repro.resilience.pool.WorkerPool` the service becomes a pure
     front-end: it validates, deduplicates, submits jobs, and assembles
     replies, while workers own the searches and the cache writes.
     """
@@ -480,14 +533,8 @@ class SchedulingService:
             if key is not None and key in dedup:
                 slots.append(("dup", dedup[key], name))
                 continue
-            job = PoolJob(
-                name,
-                text,
-                machine_spec,
-                block_options,
-                req_budget,
-                block.idents,
-                hang_timeout=self.pool.hang_timeout,
+            job = block_job(
+                name, text, machine_spec, block_options, req_budget, block.idents
             )
             if key is not None:
                 dedup[key] = len(slots)
@@ -522,15 +569,15 @@ class SchedulingService:
                 entries.append(first)
                 continue
             _, job, block = slot
-            if job.entry is not None:
-                entry = dict(job.entry)
+            if job.result is not None:
+                entry = dict(job.result)
                 entry["worker_retries"] = job.attempts
                 omega_spent += entry["omega_calls"]
             else:
                 # Retries exhausted (or drain deadline): honest bottom
                 # rung, with the failure trail in worker_retries.
                 with self._lock:
-                    self.telemetry.count("service.pool.degraded_entries")
+                    self.telemetry.count("service.degraded_entries")
                     entry = seed_entry(
                         job.name, DependenceDAG(block), machine, self.telemetry
                     )

@@ -70,8 +70,8 @@ checker in ``repro.verify`` — the oracle, the fuzzer and the
     Witness runs that beat the search incumbent outright.
 
 Resilience taxonomy (``resilience.<kind>``, filled in by the budget
-ladder in ``repro.experiments.runner`` and the supervised parallel
-engine — see ``repro.resilience``):
+ladder in ``repro.resilience.budget`` and the parallel population
+driver — see ``repro.resilience``):
 
 ``resilience.ladder.<step>``
     Blocks published by each rung of the degradation ladder
@@ -83,15 +83,30 @@ engine — see ``repro.resilience``):
 ``resilience.journal_blocks_skipped``
     Blocks recovered from a checkpoint journal on ``--resume`` instead
     of being re-scheduled.
-``resilience.crashes_detected`` / ``resilience.hangs_detected``
-    Worker processes the supervisor found dead / heartbeat-stale.
-``resilience.corrupted_records``
-    Worker result payloads rejected by record validation.
-``resilience.chunk_retries``
-    Chunk attempts requeued after a worker failure.
-``resilience.poison_chunks`` / ``resilience.poison_blocks``
-    Chunks quarantined after exhausting their retries, and the blocks
-    they degraded to list seeds.
+``resilience.poison_blocks``
+    Blocks of population chunks that exhausted their pool retries,
+    published as list seeds.
+
+Worker-pool taxonomy (``pool.<kind>``, filled in by the one supervised
+worker pool, ``repro.resilience.pool``, for population runs and the
+daemon alike):
+
+``pool.crashes`` / ``pool.hangs``
+    Job attempts whose worker the dispatcher found dead / without
+    progress past the job's hang deadline (killed and respawned).
+``pool.corrupt_replies`` / ``pool.worker_errors``
+    Results rejected by the job's validator (the worker is recycled),
+    and task exceptions reported by a healthy worker (kept).
+``pool.retries`` / ``pool.degraded``
+    Job attempts requeued after a failure, and jobs that exhausted
+    their retries (or were cut off by a drain deadline) — the daemon
+    publishes the block's list seed, a population run the chunk's.
+``pool.spawn_failures``
+    Replacement workers that could not be forked; retried on a later
+    dispatcher tick.
+``pool.lost``
+    Jobs failed by the caller-side safety cap — a supervisor bug
+    if ever non-zero.
 
 Service taxonomy (``service.<kind>``, filled in by the result cache and
 the batch daemon — see ``repro.service``):
@@ -118,15 +133,9 @@ the batch daemon — see ``repro.service``):
     (Blocks shed by an exhausted request ``deadline`` reuse
     ``resilience.run_budget_exhausted`` — the deadline *is* a request-
     scoped run budget.)
-``service.pool.crashes`` / ``service.pool.hangs``
-    Worker processes the pool dispatcher found dead / past a job's hang
-    deadline (killed and respawned).
-``service.pool.corrupt_replies`` / ``service.pool.worker_errors``
-    Worker replies rejected by structural validation, and clean
-    in-worker error replies (both recycle the worker and retry).
-``service.pool.retries`` / ``service.pool.degraded``
-    Job attempts requeued after a worker failure, and jobs degraded to
-    the list-schedule seed after exhausting their retries.
+``service.degraded_entries``
+    Reply entries published as the list-schedule seed because their
+    pool job degraded (see ``pool.degraded``).
 ``service.http.bad_bodies`` / ``service.http.disconnects``
     Request bodies rejected before parsing (missing/invalid
     ``Content-Length``, oversized, truncated mid-body) and replies that

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 
 from repro.driver import compile_source
 from repro.experiments.machines import sweep_machines
+from repro.experiments.parallel import run_population_parallel
 from repro.experiments.runner import (
     VerificationError,
     run_population,
@@ -141,6 +142,15 @@ def test_population_verify_catches_injected_bug(monkeypatch):
     _buggy_latency(monkeypatch)
     with pytest.raises(VerificationError):
         run_population(20, verify=True)
+
+
+def test_parallel_population_verify_catches_injected_bug(monkeypatch):
+    # Pool workers fork after the patch, so they run the buggy stack; the
+    # certificate failure reaches the parent as data and aborts the run
+    # instead of being retried or degraded.
+    _buggy_latency(monkeypatch)
+    with pytest.raises(VerificationError):
+        run_population_parallel(20, verify=True, workers=2)
 
 
 def test_population_verify_clean_without_bug():

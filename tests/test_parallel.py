@@ -12,12 +12,12 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from repro.experiments import parallel
 from repro.experiments.parallel import default_workers, run_population_parallel
 from repro.experiments.runner import run_population, schedule_generated_block
 from repro.ir.dag import DependenceDAG
 from repro.ir.textual import parse_block
 from repro.machine.presets import paper_simulation_machine
+from repro.resilience import BudgetManager, pool
 from repro.sched.search import SearchOptions
 from repro.sched.splitting import schedule_block_split
 from repro.synth.generator import GeneratedBlock
@@ -142,6 +142,23 @@ class TestTimeoutDegradation:
         ]
 
 
+class TestRunBudget:
+    def test_spent_omega_budget_cancels_queued_chunks(self):
+        # Once the parent sees the run's Ω cap spent, the chunks no
+        # worker has started publish their list seeds instead of running.
+        telemetry = Telemetry()
+        records = run_population_parallel(
+            40, master_seed=SEED, workers=2, telemetry=telemetry,
+            budget=BudgetManager(run_omega_cap=1),
+        )
+        assert [r.index for r in records] == list(range(40))
+        seeded = [r for r in records if r.ladder == "list-seed"]
+        assert seeded and all(r.final_nops == r.seed_nops for r in seeded)
+        assert telemetry.counters["resilience.run_budget_exhausted"] == len(
+            seeded
+        )
+
+
 class TestFallback:
     def test_broken_pool_falls_back_to_serial(
         self, serial_records, monkeypatch
@@ -150,7 +167,7 @@ class TestFallback:
             def __init__(self, *args, **kwargs):
                 raise OSError("no process support in this sandbox")
 
-        monkeypatch.setattr(parallel, "Process", ExplodingProcess)
+        monkeypatch.setattr(pool, "Process", ExplodingProcess)
         telemetry = Telemetry()
         par = run_population_parallel(
             N_BLOCKS, curtail=CURTAIL, master_seed=SEED, workers=4,

@@ -7,9 +7,13 @@ ladder's per-rung record contract.
 """
 
 import dataclasses
+import errno
 import json
+import multiprocessing
 import os
 import pickle
+import threading
+import time
 
 import pytest
 
@@ -28,14 +32,16 @@ from repro.resilience import (
     STEP_OPTIMAL,
     STEP_SPLIT,
     BudgetManager,
-    ChunkSupervisor,
     FaultPlan,
     Journal,
     JournalError,
+    PoolJob,
     SupervisorConfig,
+    WorkerPool,
     load_journal,
     validate_records,
 )
+from repro.resilience import pool as pool_module
 from repro.ir.dag import DependenceDAG
 from repro.sched.search import SearchOptions
 from repro.sched.splitting import schedule_block_split
@@ -249,6 +255,7 @@ class TestBudgetManager:
         ("repro-experiments", "--run-timeout"),
         ("repro-serve", "--block-timeout"),
         ("repro-serve", "--run-timeout"),
+        ("repro-serve", "--hang-timeout"),
     ],
 )
 def test_bad_time_budget_is_a_clean_cli_error(capsys, prog, flag, value):
@@ -310,11 +317,42 @@ class TestFaultPlan:
             FaultPlan.parse("crash=0.9,hang=0.9")
         with pytest.raises(ValueError, match="within"):
             FaultPlan(crash_rate=1.5)
+        with pytest.raises(ValueError, match="bad --chaos entry"):
+            FaultPlan.parse("hang-seconds=5")  # hangs last until killed
 
 
 # ----------------------------------------------------------------------
-# Supervision policy
+# Supervision policy: the worker pool
 # ----------------------------------------------------------------------
+_FAST_SUP = SupervisorConfig(
+    poll_interval=0.01, max_retries=2, backoff_base=0.01, backoff_cap=0.05
+)
+
+
+def _echo(ctx, value):
+    return value
+
+
+def _faulty_echo(ctx, value):
+    ctx.inject()
+    return value
+
+
+def _steps(ctx, steps, delay, beat):
+    for _ in range(steps):
+        time.sleep(delay)
+        if beat:
+            ctx.beat()
+    return steps
+
+
+def _until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
 class TestSupervisorPolicy:
     def test_backoff_is_capped_exponential(self):
         config = SupervisorConfig(backoff_base=0.25, backoff_cap=1.0)
@@ -322,31 +360,164 @@ class TestSupervisorPolicy:
             0.25, 0.5, 1.0, 1.0,
         ]
 
+    def test_config_validation(self):
+        for bad in (0, -1, float("nan"), float("inf")):
+            for field in ("hang_timeout", "poll_interval"):
+                with pytest.raises(ValueError, match="positive, finite"):
+                    SupervisorConfig(**{field: bad})
+        for bad in (-1, float("nan"), float("inf")):
+            for field in ("backoff_base", "backoff_cap"):
+                with pytest.raises(ValueError, match="non-negative, finite"):
+                    SupervisorConfig(**{field: bad})
+        with pytest.raises(ValueError):
+            SupervisorConfig(max_retries=-1)
+        # Zero backoff is legal: retry at once.
+        assert SupervisorConfig(backoff_base=0.0).backoff_delay(3) == 0.0
+
     def test_retry_then_poison(self):
-        sup = ChunkSupervisor(2, SupervisorConfig(max_retries=2, backoff_base=0.0))
-        assert sup.next_ready(0.0) == 0
-        assert sup.note_failure(0, "crash", 0.0) == "retry"
-        assert sup.note_failure(0, "crash", 0.0) == "retry"
-        assert sup.note_failure(0, "crash", 0.0) == "poison"
-        assert sup.poisoned == {0}
-        assert not sup.finished()
-        sup.note_success(1)
-        assert sup.finished()
-        assert len(sup.failures) == 3
+        # Every attempt of one job crashes its worker: it is retried
+        # max_retries times, then resolves degraded; its neighbour is
+        # untouched.
+        telemetry = Telemetry()
+        pool = WorkerPool(
+            2,
+            config=_FAST_SUP,
+            fault_plan=FaultPlan(crash_rate=1.0, max_faults_per_chunk=10**6),
+            telemetry=telemetry,
+        ).start()
+        doomed = PoolJob("doomed", _faulty_echo, (1,))
+        fine = PoolJob("fine", _echo, (2,))
+        try:
+            pool.submit([doomed, fine])
+            pool.wait(doomed)
+            pool.wait(fine)
+        finally:
+            pool.stop(drain_timeout=5.0)
+        assert doomed.result is None
+        # A crash shows as a dead process or a broken pipe, whichever
+        # the dispatcher sees first.
+        assert doomed.failure == "connection lost" or doomed.failure.startswith(
+            "worker died"
+        )
+        assert doomed.attempts == _FAST_SUP.max_retries + 1
+        assert (fine.result, fine.attempts) == (2, 0)
+        assert telemetry.counters["pool.crashes"] == _FAST_SUP.max_retries + 1
+        assert telemetry.counters["pool.retries"] == _FAST_SUP.max_retries
+        assert telemetry.counters["pool.degraded"] == 1
 
     def test_backoff_gates_requeue(self):
-        sup = ChunkSupervisor(1, SupervisorConfig(backoff_base=10.0))
-        sup.next_ready(0.0)
-        sup.note_failure(0, "hang", now=100.0)
-        assert sup.next_ready(100.0) is None  # still backing off
-        assert sup.sleep_hint(100.0) == pytest.approx(8.0)  # capped
-        assert sup.next_ready(110.0) == 0
+        config = SupervisorConfig(poll_interval=0.01, backoff_base=30.0)
+        assert config.backoff_delay(1) == pytest.approx(8.0)  # capped
+        pool = WorkerPool(
+            1,
+            config=config,
+            fault_plan=FaultPlan(crash_rate=1.0, max_faults_per_chunk=1),
+        ).start()
+        job = PoolJob("j", _faulty_echo, (1,))
+        try:
+            pool.submit([job])
+            _until(lambda: job.attempts == 1)
+            time.sleep(0.3)
+            # Backing off: requeued, but neither redispatched nor resolved.
+            assert not job.done
+            assert pool.queued_jobs() == 1
+            assert pool.cancel([job]) == [job]
+        finally:
+            pool.stop(drain_timeout=0.0)
+        assert job.done and job.failure == "cancelled"
 
     def test_drain_pending(self):
-        sup = ChunkSupervisor(3, SupervisorConfig())
-        assert sup.next_ready(0.0) == 0
-        assert sorted(sup.drain_pending()) == [1, 2]
-        assert sup.next_ready(0.0) is None
+        # cancel() withdraws the jobs no worker has started and leaves
+        # the running one to finish.
+        pool = WorkerPool(1, config=_FAST_SUP).start()
+        jobs = [PoolJob("slow", _steps, (5, 0.1, True))] + [
+            PoolJob(f"queued {i}", _echo, (i,)) for i in range(2)
+        ]
+        try:
+            pool.submit(jobs)
+            _until(lambda: pool.queued_jobs() == 2)
+            assert pool.cancel(jobs) == jobs[1:]
+            pool.wait(jobs[0])
+        finally:
+            pool.stop(drain_timeout=5.0)
+        assert all(j.done and j.failure == "cancelled" for j in jobs[1:])
+        assert jobs[0].result == 5
+
+    def test_beats_keep_a_long_job_alive(self):
+        # Both jobs run 1.2 s against a 0.5 s hang timeout; only the one
+        # that never beats is presumed hung.
+        telemetry = Telemetry()
+        config = SupervisorConfig(hang_timeout=0.5, poll_interval=0.01, max_retries=0)
+        pool = WorkerPool(1, config=config, telemetry=telemetry).start()
+        beating = PoolJob("beating", _steps, (6, 0.2, True))
+        silent = PoolJob("silent", _steps, (6, 0.2, False))
+        try:
+            pool.submit([beating])
+            pool.wait(beating)
+            pool.submit([silent])
+            pool.wait(silent)
+        finally:
+            pool.stop(drain_timeout=0.0)
+        assert (beating.result, beating.attempts) == (6, 0)
+        assert silent.result is None
+        assert silent.failure.startswith("no progress")
+        assert telemetry.counters["pool.hangs"] == 1
+
+    def test_wait_cap_counts_only_time_without_progress(self, monkeypatch):
+        # Shrink the safety cap to 1 s (hang deadline 0.5 s, one attempt,
+        # one queue slot).  Neither an idle spell before the submit nor a
+        # 1.2 s job that beats throughout may trip it.
+        monkeypatch.setattr(pool_module, "_ATTEMPT_OVERHEAD", 0.0)
+        config = SupervisorConfig(
+            hang_timeout=0.5, poll_interval=0.01, max_retries=0, backoff_cap=0.0
+        )
+        telemetry = Telemetry()
+        pool = WorkerPool(1, config=config, telemetry=telemetry, queue_limit=1)
+        pool.start()
+        job = PoolJob("long", _steps, (12, 0.1, True))
+        try:
+            time.sleep(1.2)
+            pool.submit([job])
+            pool.wait(job)
+        finally:
+            pool.stop(drain_timeout=0.0)
+        assert job.result == 12, job.failure
+        assert "pool.lost" not in telemetry.counters
+
+    def test_failed_respawn_does_not_kill_the_dispatcher(self, monkeypatch):
+        # The first worker forks; every later fork fails with EAGAIN.
+        # The job whose worker crashes must still resolve (degraded).
+        class ForkOnce(multiprocessing.Process):
+            forks = 0
+
+            def start(self):
+                ForkOnce.forks += 1
+                if ForkOnce.forks > 1:
+                    raise BlockingIOError(errno.EAGAIN, "fork refused")
+                super().start()
+
+        monkeypatch.setattr(pool_module, "Process", ForkOnce)
+        telemetry = Telemetry()
+        pool = WorkerPool(
+            1,
+            config=_FAST_SUP,
+            fault_plan=FaultPlan(crash_rate=1.0, max_faults_per_chunk=1),
+            telemetry=telemetry,
+        ).start()
+        job = PoolJob("j", _faulty_echo, (1,))
+        try:
+            pool.submit([job])
+            waiter = threading.Thread(target=pool.wait, args=(job,), daemon=True)
+            waiter.start()
+            waiter.join(timeout=20.0)
+            assert not waiter.is_alive(), "the job was never resolved"
+            assert pool._thread.is_alive(), "the dispatcher thread died"
+        finally:
+            pool.stop(drain_timeout=0.0)
+        assert job.result is None and job.failure == "no live worker"
+        assert telemetry.counters["pool.crashes"] == 1
+        assert telemetry.counters["pool.spawn_failures"] >= 1
+        assert telemetry.counters["pool.degraded"] == 1
 
     def test_validate_records(self):
         good = [_record(0), _record(1)]

@@ -36,8 +36,7 @@ from repro.service import (
     WorkerPool,
     create_server,
 )
-from repro.service.pool import PoolJob
-from repro.service.server import SCHEMA
+from repro.service.server import SCHEMA, block_job
 from repro.telemetry import Telemetry
 from repro.verify.certificate import check_schedule
 
@@ -93,7 +92,6 @@ def _pooled_service(
         ),
         fault_plan=fault_plan,
         queue_limit=pool_queue_limit,
-        hang_timeout=hang_timeout,
     ).start()
     return SchedulingService(
         cache=cache,
@@ -168,9 +166,9 @@ class TestWorkerPool:
             _entry_core(e) for e in baseline_reply["entries"]
         ]
         assert all(e["worker_retries"] == 1 for e in reply["entries"])
-        assert service.telemetry.counters["service.pool.crashes"] == len(BLOCKS)
-        assert service.telemetry.counters["service.pool.retries"] == len(BLOCKS)
-        assert "service.pool.degraded" not in service.telemetry.counters
+        assert service.telemetry.counters["pool.crashes"] == len(BLOCKS)
+        assert service.telemetry.counters["pool.retries"] == len(BLOCKS)
+        assert "pool.degraded" not in service.telemetry.counters
 
     def test_corrupt_reply_detected_and_retried(self, baseline_reply):
         plan = FaultPlan(seed=11, corrupt_rate=1.0, max_faults_per_chunk=1)
@@ -180,20 +178,18 @@ class TestWorkerPool:
             _entry_core(e) for e in baseline_reply["entries"]
         ]
         assert (
-            service.telemetry.counters["service.pool.corrupt_replies"]
+            service.telemetry.counters["pool.corrupt_replies"]
             == len(BLOCKS)
         )
 
     def test_hung_worker_killed_and_retried(self, baseline_reply):
-        plan = FaultPlan(
-            seed=3, hang_rate=1.0, hang_seconds=30.0, max_faults_per_chunk=1
-        )
+        plan = FaultPlan(seed=3, hang_rate=1.0, max_faults_per_chunk=1)
         service = _pooled_service(workers=2, fault_plan=plan, hang_timeout=1.0)
         reply = _run_batch(service)
         assert [_entry_core(e) for e in reply["entries"]] == [
             _entry_core(e) for e in baseline_reply["entries"]
         ]
-        assert service.telemetry.counters["service.pool.hangs"] == len(BLOCKS)
+        assert service.telemetry.counters["pool.hangs"] == len(BLOCKS)
 
     def test_persistent_crash_degrades_to_list_seed(self):
         # Every attempt crashes: past max_retries the entry degrades to
@@ -229,8 +225,8 @@ class TestWorkerPool:
     def test_pool_rejects_oversized_batch(self):
         pool = WorkerPool(1, queue_limit=2)
         jobs = [
-            PoolJob("b", BLOCKS[0], "paper-simulation", OPTIONS, None,
-                    (1, 2, 3, 4, 5), hang_timeout=60.0)
+            block_job("b", BLOCKS[0], "paper-simulation", OPTIONS, None,
+                      (1, 2, 3, 4, 5))
             for _ in range(3)
         ]
         with pytest.raises(PoolSaturated) as exc:
@@ -283,15 +279,15 @@ class TestDispatcherWakeUp:
         try:
             # Let the dispatcher settle into its wait on an idle fleet.
             time.sleep(0.3)
-            job = PoolJob("b", BLOCKS[0], "paper-simulation", OPTIONS, None,
-                          (1, 2, 3, 4, 5), hang_timeout=60.0)
+            job = block_job("b", BLOCKS[0], "paper-simulation", OPTIONS, None,
+                            (1, 2, 3, 4, 5))
             start = time.monotonic()
             pool.submit([job])
             pool.wait(job)
             elapsed = time.monotonic() - start
         finally:
             pool.stop(drain_timeout=5.0)
-        assert job.entry is not None, job.failure
+        assert job.result is not None, job.failure
         assert elapsed < 1.0
 
 
